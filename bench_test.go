@@ -538,9 +538,8 @@ func BenchmarkCompileQueryReuse(b *testing.B) {
 // model (deep BFS diameter, the regime reachability-frontier pruning is
 // built for). The "steps/s" metric is the full-model DTMC stepping
 // throughput of the series construction, the quantity Tables 1–2 count;
-// "steps" is the per-build step count. The nofrontier variants re-run the
-// banded model with frontier pruning disabled — the early-step pruning win
-// is their ratio.
+// "steps" is the per-build step count. The frontier-pruning ablation of the
+// banded model's construction is regen's BenchmarkBuildBandFrontier.
 func BenchmarkCompileColdStart(b *testing.B) {
 	type scenario struct {
 		name    string
@@ -590,13 +589,6 @@ func BenchmarkCompileColdStart(b *testing.B) {
 	}
 	for _, sc := range scenarios {
 		b.Run(sc.name, func(b *testing.B) { run(b, sc) })
-	}
-	for _, sc := range scenarios[2:] {
-		b.Run(sc.name+"/nofrontier", func(b *testing.B) {
-			prev := regen.SetDisableFrontier(true)
-			defer regen.SetDisableFrontier(prev)
-			run(b, sc)
-		})
 	}
 }
 

@@ -323,7 +323,7 @@ func attachSnapshots(srv *server, dir string) error {
 	if err != nil {
 		return err
 	}
-	srv.cache.SetSnapshotStore(store.WithRetry(st, 3, 25*time.Millisecond), log.Printf)
+	srv.cache.SetSnapshotStore(store.WithRetryPolicy(st, store.RetryPolicy{Attempts: 3, Backoff: 25 * time.Millisecond}), log.Printf)
 	return warmStart(srv, dir)
 }
 

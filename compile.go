@@ -62,10 +62,9 @@ type CompileOptions struct {
 	// RRL carries the inversion knobs every RRL query against this compiled
 	// model runs under: the Laplace backend (RRLConfig.Inverter — "durbin",
 	// the paper's configuration and the default, or "euler"; a Query may
-	// override it per request), period factor κ, acceleration and
-	// tail-truncation ablations. The zero value reproduces the paper. The
-	// knobs change query results, so they are part of the compile's content
-	// key.
+	// override it per request), period factor κ and the acceleration
+	// ablation. The zero value reproduces the paper. The knobs change query
+	// results, so they are part of the compile's content key.
 	RRL RRLConfig
 	// HorizonBuckets, when positive, turns on horizon bucketing for RR/RRL
 	// queries: every query horizon (the max of its times) is rounded UP to
@@ -212,9 +211,6 @@ func compileKey(model *CTMC, copts CompileOptions) string {
 	binary.LittleEndian.PutUint64(tail[25:33], math.Float64bits(copts.RRL.TFactor))
 	if copts.RRL.DisableAcceleration {
 		tail[33] |= 1
-	}
-	if copts.RRL.DisableTailTruncation {
-		tail[33] |= 2
 	}
 	// Horizon bucketing rounds query horizons onto a geometric grid, which
 	// changes RR/RRL results, so the grid density splits the key too.

@@ -30,7 +30,7 @@ func TestQuickCrossValidation(t *testing.T) {
 		rmax := 1 + 2*rng.Float64()
 		rewards := ctmc.RandomRewards(rng, model, rmax, rng.Intn(4) == 0 && len(model.Absorbing()) > 0)
 		// The inversion's double-precision floor scales with the series
-		// magnitude, i.e. with r_max (see laplace.Options.NoiseRel); over
+		// magnitude, i.e. with r_max (see laplace's noiseRel); over
 		// adversarial stiff random models the observed worst case is
 		// ~5e-11·r_max (≈10 agreeing digits), versus ~1e-12 on the paper's
 		// unit-reward models (asserted tightly in paper_test.go).

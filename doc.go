@@ -71,8 +71,8 @@
 // and then groups RR/RRL requests by horizon class (the exact certified
 // horizon, the max of a request's times). Each group's distinct reward
 // vectors execute as dot lanes of ONE multi-lane stepping pass: on a
-// non-retaining compiled model the group rides regen.Basis.BuildMany (every
-// stored matrix entry is loaded once for all lanes, so a 32-measure
+// non-retaining compiled model the group rides regen.Basis.BuildManyCtx
+// (every stored matrix entry is loaded once for all lanes, so a 32-measure
 // same-horizon batch costs about one series construction instead of 32 —
 // measured ≥5× end-to-end throughput on the paper's G=20 model,
 // BenchmarkQueryPlanner); on a retaining model the group's coefficients
@@ -248,10 +248,12 @@
 // regenerative/absorbing destinations, ℓ₁ mass and reward dot-product — is
 // one kernel pass (sparse.Matrix.StepFused) for SR, RSD, the RR/RRL series
 // build and AU (MS runs its dense block build on the same worker pool
-// instead); rebinding a reward vector to retained step vectors replays the
-// dot side of that kernel two vectors per sweep
-// (sparse.Matrix.RewardDotFusedBatch); batches of time points and batches
-// of queries fan out over a persistent worker pool (internal/par); and
+// instead); rebinding reward vectors to retained step vectors replays the
+// dot side of that kernel through one entry point, sparse.RewardDotMulti —
+// two retained vectors per register-chain sweep for a single binding,
+// eight-vector blocks for a planner group, the same per-pair arithmetic
+// either way; batches of time points and batches of queries fan out over
+// a persistent worker pool (internal/par); and
 // per-query scratch (stepping buffers, birth-process tables,
 // epsilon-acceleration diagonals) comes from per-size-class pools
 // (internal/pool), so steady-state query traffic runs allocation-free on

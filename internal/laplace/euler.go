@@ -67,7 +67,7 @@ const eulerRoundoffRel = 0x1p-50
 // eulerOrder is the binomial averaging order M: the average runs over the
 // last M+1 partial sums. 12 keeps the weights binom(12,k)/2¹² exact in
 // double precision and, on the alternating κ = 1 series, squeezes the
-// oscillation below typical tolerances within a few blocks past MinTerms.
+// oscillation below typical tolerances within a few blocks past minTerms.
 const eulerOrder = 12
 
 // eulerWeights are the binomial weights binom(M,k)/2^M, k = 0..M — a

@@ -118,7 +118,7 @@ func TestEulerBudgetRejection(t *testing.T) {
 		t.Fatalf("got %v, want ErrBudget", err)
 	}
 	// Without FMax the check is disabled — the caller opted out of the
-	// a-priori certificate, and the configuration runs (NoiseRel still
+	// a-priori certificate, and the configuration runs (noiseRel still
 	// governs the delivered floor).
 	rs, err := Euler{}.InvertJointCtx(context.Background(), 1, Scalar(f), 2, Options{
 		Damping:    DampingTRR(1, 1e-12/4, 2),

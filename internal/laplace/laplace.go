@@ -16,13 +16,20 @@
 // abscissae in speculative blocks of BlockLen and the transform fills one
 // value per abscissa, so an evaluator can amortize its coefficient sweeps
 // across the whole block (one load of each coefficient updates every block
-// abscissa). With the default MinTerms = Streak = 8 the stopping rule can
-// only fire on block boundaries ±Streak, so at most one speculative block is
-// ever wasted. InvertJoint extends the same machinery to m transforms that
-// share their abscissae (and therefore their evaluation sweeps): each output
-// keeps its own compensated partial sums, epsilon table and stopping rule,
-// so a joint inversion returns, output by output, exactly the bits a
-// standalone inversion with the same Options would.
+// abscissa). The stopping rule declares convergence after streakLen
+// consecutive estimates agree within the tolerance, and only at the end of
+// a block: a completed streak must also hold for every estimate the block
+// evaluated after it, or it resets. Wynn estimates can plateau for a whole
+// streak while the partial sums still swing, and the estimate right after
+// such a plateau exposes it, so Durbin also requires at least one such
+// estimate (durbinConfirm). Estimates in the rest of the block are already
+// paid for; only a Durbin streak completing on a block's last estimate
+// costs one more block. InvertJoint
+// extends the same machinery to m transforms that share their abscissae
+// (and therefore their evaluation sweeps): each output keeps its own
+// compensated partial sums, epsilon table and stopping rule, so a joint
+// inversion returns, output by output, exactly the bits a standalone
+// inversion with the same Options would.
 //
 // The machinery is exposed behind the Inverter interface. Two backends
 // share the block-evaluation loop, the per-output compensated series and
@@ -100,30 +107,6 @@ type Options struct {
 	// Accelerate enables Wynn's epsilon algorithm (the paper's choice).
 	// When false the raw partial sums are used — the ablation configuration.
 	Accelerate bool
-	// MaxTerms caps the number of series terms (abscissae beyond f̃(a)).
-	// Zero selects 50000.
-	MaxTerms int
-	// MinTerms forces at least this many terms before convergence may be
-	// declared (guards against spurious early agreement). Zero selects 8.
-	MinTerms int
-	// Streak is the number of consecutive estimate pairs that must agree
-	// within Tol before convergence is declared; epsilon-table estimates
-	// can plateau briefly while still far from the limit, so a single
-	// agreement (the paper's literal criterion) is fragile. Zero selects 8:
-	// plateaus of up to seven near-identical estimates sitting several
-	// ulps-of-the-result off the limit have been observed on random stiff
-	// chains, and the certified-bounds margins assume the stopping rule
-	// outlasts them.
-	Streak int
-	// NoiseRel is the relative floating-point noise floor: convergence is
-	// also accepted when consecutive estimates agree within
-	// NoiseRel·max|partial sum|, since double precision cannot push the
-	// trapezoidal series below its roundoff level no matter how many terms
-	// are added. Zero selects 4e-14 (≈ 200 ulp of the series magnitude);
-	// set negative to disable. The delivered accuracy is therefore
-	// min-limited to ~1e-13 relative — the "~14 digits" the paper reports
-	// demanding from the inversion at ε = 1e-12.
-	NoiseRel float64
 	// FMax is the caller's magnitude bound on the original (|f(τ)| ≤ FMax
 	// over the horizon of interest) — optional context for backends with an
 	// a-priori certified roundoff floor. The Euler backend rejects a
@@ -131,9 +114,43 @@ type Options struct {
 	// e^{a·t}·2⁻⁵⁰·FMax exceeds Tol, since no number of terms can then meet
 	// the certified budget. Zero disables the check; Durbin ignores the
 	// field (its epsilon acceleration works at κ = 8 damping levels where
-	// the floor is governed by NoiseRel instead).
+	// the floor is governed by noiseRel instead).
 	FMax float64
+	// maxTerms caps the number of series terms (abscissae beyond f̃(a));
+	// zero selects defaultTermCap. Only tests lower it.
+	maxTerms int
 }
+
+// The stopping rule's fixed parameters.
+const (
+	// defaultTermCap caps the series at 50000 terms.
+	defaultTermCap = 50000
+	// minTerms forces at least this many terms before convergence may be
+	// declared (guards against spurious early agreement).
+	minTerms = 8
+	// streakLen is the number of consecutive estimate pairs that must agree
+	// within Tol before convergence is declared; epsilon-table estimates
+	// can plateau briefly while still far from the limit, so a single
+	// agreement (the paper's literal criterion) is fragile. Plateaus of up
+	// to seven near-identical estimates sitting several ulps-of-the-result
+	// off the limit have been observed on random stiff chains, and the
+	// certified-bounds margins assume the stopping rule outlasts them.
+	streakLen = 8
+	// durbinConfirm is how many estimates after a completed streak must
+	// hold it too before Durbin accepts it; with none, a Wynn plateau that
+	// completes on the last estimate of a block goes unchecked. Euler's
+	// binomial averages have not shown such plateaus, so Euler checks only
+	// the rest of the block, which costs no abscissae.
+	durbinConfirm = 1
+	// noiseRel is the relative floating-point noise floor: convergence is
+	// also accepted when consecutive estimates agree within
+	// noiseRel·max|partial sum|, since double precision cannot push the
+	// trapezoidal series below its roundoff level no matter how many terms
+	// are added. 4e-14 is ≈ 200 ulp of the series magnitude, so the
+	// delivered accuracy is min-limited to ~1e-13 relative — the "~14
+	// digits" the paper reports demanding from the inversion at ε = 1e-12.
+	noiseRel = 4e-14
+)
 
 func (o *Options) validate() error {
 	if o.TFactor == 0 {
@@ -148,17 +165,8 @@ func (o *Options) validate() error {
 	if !(o.Tol > 0) {
 		return fmt.Errorf("laplace: tolerance %v must be positive", o.Tol)
 	}
-	if o.MaxTerms == 0 {
-		o.MaxTerms = 50000
-	}
-	if o.MinTerms == 0 {
-		o.MinTerms = 8
-	}
-	if o.Streak == 0 {
-		o.Streak = 8
-	}
-	if o.NoiseRel == 0 {
-		o.NoiseRel = 4e-14
+	if o.maxTerms == 0 {
+		o.maxTerms = defaultTermCap
 	}
 	return nil
 }
@@ -172,7 +180,7 @@ type Result struct {
 	// abscissae were evaluated whether or not the stopping rule read them,
 	// so the count reflects the actual transform-evaluation cost).
 	Abscissae int
-	// Converged records whether the tolerance was met before MaxTerms.
+	// Converged records whether the tolerance was met within the term cap.
 	Converged bool
 }
 
@@ -202,8 +210,14 @@ type invState struct {
 	est    float64
 	maxMag float64
 	streak int
-	done   bool
-	res    Result
+	// pending marks a completed streak: res holds its estimate, accepted
+	// at the end of a block once the estimates after it held the streak
+	// too (every one the block evaluated, and at least the backend's
+	// confirm count), dropped as soon as one breaks it.
+	pending   bool
+	confirmed int
+	done      bool
+	res       Result
 }
 
 // Invert evaluates the Durbin series for f(t) at time t > 0, requesting
@@ -222,11 +236,11 @@ func Invert(f BlockFunc, t float64, opt Options) (Result, error) {
 // coefficient sweeps — the RRL value and truncation-mass transforms — pays
 // one sweep family for all of them. Every output gets its own compensated
 // series, epsilon table and stopping rule under the shared Options, and its
-// Result is frozen the moment its own rule fires, so each output is
+// Result is frozen the moment its own rule accepts, so each output is
 // bit-identical to a standalone inversion of that transform with the same
 // Options; the sweep continues until every output has converged. On error
-// (an output exhausting MaxTerms) the returned slice still carries the best
-// estimates.
+// (an output exhausting the term cap) the returned slice still carries the
+// best estimates.
 func InvertJoint(m int, f BlockFunc, t float64, opt Options) ([]Result, error) {
 	return InvertJointCtx(context.Background(), m, f, t, opt)
 }
@@ -313,17 +327,19 @@ func (Durbin) ID() byte { return 0 }
 
 // InvertJointCtx implements Inverter.
 func (Durbin) InvertJointCtx(ctx context.Context, m int, f BlockFunc, t float64, opt Options) ([]Result, error) {
-	return invertLoop(ctx, m, f, t, opt, invertParams{site: FaultBlockDurbin})
+	return invertLoop(ctx, m, f, t, opt, invertParams{site: FaultBlockDurbin, confirm: durbinConfirm})
 }
 
 // invertParams selects the backend-specific pieces of the shared inversion
 // loop: the per-backend fault site, the rotation factors e^{ikπt/T}
 // (Durbin evaluates them trigonometrically; Euler's T = t makes them
-// exactly (−1)^k), and the series acceleration (Wynn's epsilon table for
-// Durbin, a binomial averaging window for Euler).
+// exactly (−1)^k), the series acceleration (Wynn's epsilon table for
+// Durbin, a binomial averaging window for Euler), and how many estimates
+// after a completed streak must hold it before it is accepted.
 type invertParams struct {
-	site  string
-	euler bool
+	site    string
+	euler   bool
+	confirm int
 }
 
 func invertLoop(ctx context.Context, m int, f BlockFunc, t float64, opt Options, p invertParams) ([]Result, error) {
@@ -361,7 +377,7 @@ func invertLoop(ctx context.Context, m int, f BlockFunc, t float64, opt Options,
 	evaluated := 0
 	remaining := m
 	var stopErr error
-	for k0 := 0; k0 <= opt.MaxTerms && remaining > 0; k0 += BlockLen {
+	for k0 := 0; k0 <= opt.maxTerms && remaining > 0; k0 += BlockLen {
 		if cerr := ctx.Err(); cerr != nil {
 			stopErr = core.Cancelled(cerr, 0, evaluated)
 			break
@@ -375,8 +391,8 @@ func invertLoop(ctx context.Context, m int, f BlockFunc, t float64, opt Options,
 			break
 		}
 		bl := BlockLen
-		if k0+bl > opt.MaxTerms+1 {
-			bl = opt.MaxTerms + 1 - k0
+		if k0+bl > opt.maxTerms+1 {
+			bl = opt.maxTerms + 1 - k0
 		}
 		for j := 0; j < bl; j++ {
 			sbuf[j] = complex(a, float64(k0+j)*h)
@@ -417,21 +433,32 @@ func invertLoop(ctx context.Context, m int, f BlockFunc, t float64, opt Options,
 				}
 				st.est = st.acc.push(st.series.Value() * scale)
 				tol := opt.Tol
-				if opt.NoiseRel > 0 && opt.NoiseRel*st.maxMag > tol {
-					tol = opt.NoiseRel * st.maxMag
+				if noiseRel*st.maxMag > tol {
+					tol = noiseRel * st.maxMag
 				}
 				if math.Abs(st.est-st.prev) <= tol {
 					st.streak++
+					if st.pending {
+						st.confirmed++
+					}
 				} else {
 					st.streak = 0
+					st.pending = false
 				}
-				if k >= opt.MinTerms && st.streak >= opt.Streak {
-					st.done = true
-					st.res = Result{Value: st.est, Abscissae: evaluated, Converged: true}
-					remaining--
-					continue
+				if !st.pending && k >= minTerms && st.streak >= streakLen {
+					st.pending = true
+					st.confirmed = 0
+					st.res = Result{Value: st.est, Converged: true}
 				}
 				st.prev = st.est
+			}
+		}
+		for q := range states {
+			if st := &states[q]; st.pending && st.confirmed >= p.confirm {
+				st.pending = false
+				st.done = true
+				st.res.Abscissae = evaluated
+				remaining--
 			}
 		}
 	}
@@ -442,7 +469,7 @@ func invertLoop(ctx context.Context, m int, f BlockFunc, t float64, opt Options,
 		if !st.done {
 			st.res = Result{Value: st.est, Abscissae: evaluated, Converged: false}
 			if err == nil {
-				err = fmt.Errorf("laplace: series did not converge to %v within %d terms", opt.Tol, opt.MaxTerms)
+				err = fmt.Errorf("laplace: series did not converge to %v within %d terms", opt.Tol, opt.maxTerms)
 			}
 		}
 		results[q] = st.res

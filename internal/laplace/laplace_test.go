@@ -132,7 +132,7 @@ func TestAccelerationAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Accelerate = false
-	opts.MaxTerms = 200000
+	opts.maxTerms = 200000
 	raw, err := Invert(Scalar(f), tt, opts)
 	want := math.Exp(-tt)
 	if err == nil {
@@ -286,8 +286,8 @@ func TestInvertBlockWasteBounded(t *testing.T) {
 	// Capping the series one block short of the consumed count must leave
 	// the stopping rule unsatisfied; if it still converged, the final block
 	// of the unrestricted run was pure waste.
-	opt.MaxTerms = res.Abscissae - BlockLen - 1
-	if opt.MaxTerms > 0 {
+	opt.maxTerms = res.Abscissae - BlockLen - 1
+	if opt.maxTerms > 0 {
 		short, err := Invert(Scalar(f), 2, opt)
 		if err == nil && short.Converged {
 			t.Errorf("converged in %d abscissae, a full block less than the %d consumed",
@@ -300,8 +300,8 @@ func TestNonConvergenceReported(t *testing.T) {
 	// A transform violating the boundedness assumption (growing original)
 	// with a tiny term cap must report failure rather than silently return.
 	f := func(s complex128) complex128 { return 1 / (s * s * s) }
-	_, err := Invert(Scalar(f), 1, Options{Damping: 0.05, Tol: 1e-14, MaxTerms: 10})
+	_, err := Invert(Scalar(f), 1, Options{Damping: 0.05, Tol: 1e-14, maxTerms: 10})
 	if err == nil {
-		t.Error("want convergence failure with MaxTerms=10")
+		t.Error("want convergence failure with maxTerms=10")
 	}
 }

@@ -20,9 +20,10 @@ import (
 // reward-free chain statistics a(k), q_k, v^i_k together with every stepped
 // vector u_k (primed counterparts when α_r < 1). Binding a reward vector is
 // then a sweep of chunk-deterministic dot products over the retained
-// vectors (sparse.Matrix.RewardDotFused) instead of a fresh stepping pass,
-// and yields a Series bitwise-identical to Build. In non-retaining mode the
-// Basis only shares the DTMC and each binding owns a pair of reward-carrying
+// vectors (sparse.RewardDotMulti, whose per-pair arithmetic is that of
+// sparse.Matrix.RewardDotFused) instead of a fresh stepping pass, and
+// yields a Series bitwise-identical to Build. In non-retaining mode the
+// Basis only shares the DTMC and each binding owns one-lane reward-carrying
 // incremental chains (O(states) working vectors, O(K) scalars) that extend
 // monotonically as horizons grow — the memory-lean configuration the wrapper
 // constructors use; a deeper horizon pays only the step difference instead
@@ -41,7 +42,7 @@ type Basis struct {
 	alphaR    float64
 	absorbing []int
 	plan      *zeroPlan
-	fr        *sparse.Frontier // nil when frontier pruning is disabled
+	fr        *sparse.Frontier
 
 	mu    sync.Mutex
 	main  *chainState // recording, reward-free; nil when mode is RetainNone
@@ -116,12 +117,12 @@ func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode Reta
 		compact := mode == RetainCompact
 		u0 := make([]float64, n)
 		u0[regenState] = 1
-		b.main = newChainState(n, b.plan, b.fr, u0, nil, 1, true, compact, &b.retainedBytes)
+		b.main = newChainState(n, b.plan, b.fr, u0, 1, true, compact, &b.retainedBytes)
 		if b.alphaR < 1 {
 			up0 := make([]float64, n)
 			copy(up0, model.Initial())
 			up0[regenState] = 0
-			b.prime = newChainState(n, b.plan, b.fr, up0, nil, 1-b.alphaR, true, compact, &b.retainedBytes)
+			b.prime = newChainState(n, b.plan, b.fr, up0, 1-b.alphaR, true, compact, &b.retainedBytes)
 		}
 	}
 	return b, nil
@@ -188,7 +189,7 @@ func (b *Basis) extend(ctx context.Context, cs *chainState, pred func(a []float6
 		if err := checkpoint(ctx, steps); err != nil {
 			return chainSnapshot{}, err
 		}
-		cs.step(b.dtmc, b.plan, nil)
+		cs.step(b.dtmc, b.plan)
 		steps++
 	}
 	noteExtension(base, steps)
@@ -220,12 +221,12 @@ type Binding struct {
 	bPrime []float64
 
 	// Non-retaining incremental store: on a RetainNone basis the binding owns
-	// reward-carrying chains of its own (O(states) working vectors plus O(K)
+	// one-lane reward-carrying chains (O(states) working vectors plus O(K)
 	// scalar statistics) that extend monotonically under mu instead of
 	// re-stepping from scratch for every new horizon. nil until the first
 	// series request; see seriesByExtension.
-	incMain  *chainState
-	incPrime *chainState
+	incMain  *multiChain
+	incPrime *multiChain
 
 	// bytes accumulates this binding's own retained heap: cached b(k)
 	// coefficients (retaining basis) or the incremental chains' working
@@ -272,18 +273,19 @@ func (bd *Binding) RMax() float64 { return bd.rmax }
 // rounding relative to the exact perturbed sum.
 const quantRel = 0x1p-23
 
-// truncBudget returns the truncation budget of one chain for this binding:
-// the ε/4 (or ε/2 when α_r = 1) of the paper, minus the explicit
-// quantization carve-out of compact retention — so truncation + rounding
-// together stay inside the slice of ε the series construction owns. It
-// errors when Epsilon is too small for float32 retention to certify.
-func (bd *Binding) truncBudget() (float64, error) {
-	budget := bd.basis.chainBudget()
-	if bd.basis.mode == RetainCompact {
-		q := bd.rmax * quantRel
+// truncBudget returns the truncation budget of one chain for a binding
+// with maximum reward rate rmax: the ε/4 (or ε/2 when α_r = 1) of the
+// paper, minus the explicit quantization carve-out of compact retention —
+// so truncation + rounding together stay inside the slice of ε the series
+// construction owns. It errors when Epsilon is too small for float32
+// retention to certify.
+func (b *Basis) truncBudget(rmax float64) (float64, error) {
+	budget := b.chainBudget()
+	if b.mode == RetainCompact {
+		q := rmax * quantRel
 		if q >= budget {
 			return 0, fmt.Errorf("regen: compact retention cannot certify epsilon %.3g with rmax %.3g (float32 quantization alone contributes up to %.3g); recompile without CompactRetention or raise Epsilon above ~%.3g",
-				bd.basis.opts.Epsilon, bd.rmax, q, 8*q)
+				b.opts.Epsilon, rmax, q, 8*q)
 		}
 		budget -= q
 	}
@@ -341,7 +343,7 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 		Horizon:          horizon,
 		L:                -1,
 	}
-	budget, err := bd.truncBudget()
+	budget, err := b.truncBudget(bd.rmax)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +364,8 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 	for i := range snap.v {
 		s.V[i] = snap.v[i][:min(K, len(snap.v[i]))]
 	}
-	s.B = bd.bSeries(&bd.bMain, snap, K)
+	b.fillMany([]*Binding{bd}, snap, []int{K}, false)
+	s.B = bd.coefficients(false, K)
 
 	if b.alphaR < 1 {
 		primePred := func(a []float64, level int) bool {
@@ -381,31 +384,33 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 		for i := range psnap.v {
 			s.VP[i] = psnap.v[i][:min(L, len(psnap.v[i]))]
 		}
-		s.BP = bd.bSeries(&bd.bPrime, psnap, L)
+		b.fillMany([]*Binding{bd}, psnap, []int{L}, true)
+		s.BP = bd.coefficients(true, L)
 	}
 	return s, nil
 }
 
 // ensureIncLocked lazily creates the binding-owned reward-carrying chains of
-// the non-retaining incremental store. The chains start from the same u₀ /
-// u'₀ a fused build starts from and track the b series directly out of the
-// fused step kernel, so nothing beyond O(states) working vectors and O(K)
-// scalars is retained. Caller holds bd.mu.
+// the non-retaining incremental store: one-lane multiChains starting from
+// the same u₀ / u'₀ a fused build starts from, tracking the b series
+// directly out of the fused step kernel, so nothing beyond O(states)
+// working vectors and O(K) scalars is retained. Caller holds bd.mu.
 func (bd *Binding) ensureIncLocked() {
 	if bd.incMain != nil {
 		return
 	}
 	b := bd.basis
 	n := b.model.N()
+	lanes := [][]float64{bd.rewards}
 	u0 := make([]float64, n)
 	u0[b.regenState] = 1
-	bd.incMain = newChainState(n, b.plan, b.fr, u0, bd.rewards, 1, false, false, &bd.bytes)
+	bd.incMain = newMultiChain(n, b.plan, b.fr, u0, lanes, nil, 1, &bd.bytes)
 	bd.bytes.Add(int64(n) * 16) // the chain's two working vectors
 	if b.alphaR < 1 {
 		up0 := make([]float64, n)
 		copy(up0, b.model.Initial())
 		up0[b.regenState] = 0
-		bd.incPrime = newChainState(n, b.plan, b.fr, up0, bd.rewards, 1-b.alphaR, false, false, &bd.bytes)
+		bd.incPrime = newMultiChain(n, b.plan, b.fr, up0, lanes, nil, 1-b.alphaR, &bd.bytes)
 		bd.bytes.Add(int64(n) * 16)
 	}
 }
@@ -416,15 +421,16 @@ func (bd *Binding) ensureIncLocked() {
 // cancelled call leaves a valid prefix, and a retry resumes from it to
 // bitwise the same chain an uninterrupted call would have built. Caller
 // holds bd.mu.
-func (bd *Binding) extendIncLocked(ctx context.Context, cs *chainState, pred func(a []float64, level int) bool) error {
+func (bd *Binding) extendIncLocked(ctx context.Context, mc *multiChain, pred func(a []float64, level int) bool) error {
 	b := bd.basis
+	cs := mc.cs
 	base := cs.stepIndex()
 	steps := 0
 	for !cs.done && !pred(cs.a, cs.stepIndex()) {
 		if err := checkpoint(ctx, steps); err != nil {
 			return err
 		}
-		cs.step(b.dtmc, b.plan, bd.rewards)
+		mc.step(b.dtmc, b.plan)
 		steps++
 	}
 	noteExtension(base, steps)
@@ -434,9 +440,9 @@ func (bd *Binding) extendIncLocked(ctx context.Context, cs *chainState, pred fun
 // seriesByExtension is the non-retaining series path: instead of re-running
 // a fused build from step zero for every new horizon, the binding's own
 // chains extend monotonically — a t₂ request after t₁ < t₂ pays only the
-// steps between the two truncation depths. Each step runs the same
-// specialized fused kernel a single-rewards build runs (the kernel choice is
-// a pure function of the step index, and the single-lane kernel is
+// steps between the two truncation depths. The chains are the same one-lane
+// multiChain a single-rewards build steps (the kernel choice is a pure
+// function of the step index, and the single-lane kernel is
 // bitwise-identical per lane to the lockstep multi-lane one), so the
 // returned series is bitwise-identical to a fresh
 // Build(model, rewards, regen, opts, horizon). Truncation levels come from
@@ -446,7 +452,7 @@ func (bd *Binding) extendIncLocked(ctx context.Context, cs *chainState, pred fun
 func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Series, error) {
 	b := bd.basis
 	lam := b.dtmc.Lambda * horizon
-	budget, err := bd.truncBudget()
+	budget, err := b.truncBudget(bd.rmax)
 	if err != nil {
 		return nil, err
 	}
@@ -471,12 +477,12 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 	if err := bd.extendIncLocked(ctx, bd.incMain, mainPred); err != nil {
 		return nil, err
 	}
-	cs := bd.incMain
+	cs := bd.incMain.cs
 	depth := cs.stepIndex()
 	K := sort.Search(depth, func(cand int) bool { return mainPred(cs.a, cand) })
 	s.K = K
-	s.A = cs.a[:K+1 : K+1]
-	s.B = cs.b[:K+1 : K+1]
+	s.A = cs.a[: K+1 : K+1]
+	s.B = bd.incMain.b(0)[: K+1 : K+1]
 	nq := min(K, len(cs.q))
 	s.Q = cs.q[:nq:nq]
 	s.V = make([][]float64, len(cs.v))
@@ -492,12 +498,12 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 		if err := bd.extendIncLocked(ctx, bd.incPrime, primePred); err != nil {
 			return nil, err
 		}
-		ps := bd.incPrime
+		ps := bd.incPrime.cs
 		pdepth := ps.stepIndex()
 		L := sort.Search(pdepth, func(cand int) bool { return primePred(ps.a, cand) })
 		s.L = L
-		s.AP = ps.a[:L+1 : L+1]
-		s.BP = ps.b[:L+1 : L+1]
+		s.AP = ps.a[: L+1 : L+1]
+		s.BP = bd.incPrime.b(0)[: L+1 : L+1]
 		npq := min(L, len(ps.q))
 		s.QP = ps.q[:npq:npq]
 		s.VP = make([][]float64, len(ps.v))
@@ -509,125 +515,24 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 	return s, nil
 }
 
-// bSeries returns b(0..top) for one chain, computing and caching missing
-// entries from the retained vectors. b(0) is the plain compensated dot the
-// fused build starts from; b(k ≥ 1) replays the dot side of the exact
-// kernel that produced u_k — the frontier replay while the reachable set
-// was still growing, the batch kernel after (same chunk decomposition,
-// same skip rule, same chain assignment) — so every coefficient matches
-// the fused build bit for bit. The saturated-range dots run through the
-// two-lane batch kernel: the interleaved Kahan chains overlap in the
-// pipeline and lane pairs fan out over the worker pool, which is what
-// makes binding a new reward vector several times cheaper than
-// re-stepping.
-func (bd *Binding) bSeries(store *[]float64, snap chainSnapshot, top int) []float64 {
-	bd.mu.Lock()
-	defer bd.mu.Unlock()
-	initial := len(*store)
-	start := initial
-	if start == 0 && top >= 0 {
-		*store = append(*store, bd.b0(snap))
-		start = 1
-	}
-	if start <= top {
-		dots := make([]float64, top+1-start)
-		bd.replayDots(snap, start, dots)
-		for i, d := range dots {
-			ak := snap.a[start+i]
-			var bk float64
-			if ak > 0 {
-				bk = d / ak
-			}
-			*store = append(*store, bk)
-		}
-	}
-	if grew := len(*store) - initial; grew > 0 {
-		bd.bytes.Add(8 * int64(grew))
-	}
-	return (*store)[:top+1]
-}
-
-// b0 is the k = 0 coefficient: the plain compensated dot the fused build
-// starts from, over the retained u₀ at the basis's retention precision.
-func (bd *Binding) b0(snap chainSnapshot) float64 {
-	a0 := snap.a[0]
-	if a0 <= 0 {
-		return 0
-	}
-	if bd.basis.mode == RetainCompact {
-		return sparse.DotW(snap.us32[0], bd.rewards) / a0
-	}
-	return sparse.Dot(snap.us[0], bd.rewards) / a0
-}
-
-// replayDots fills dots[i] with the replayed reward dot of retained vector
-// u_{start+i}. Vector u_m was produced by step m−1: the replay runs the dot
-// side of the exact kernel that step ran — the frontier kernel while the
-// reachable set was still growing, the full-sweep batch kernel after (same
-// chunk decomposition, same skip rule, same chain assignment) — so under
-// full retention every coefficient matches the fused build bit for bit.
-// Under compact retention the same replay arithmetic runs over the
-// float32-rounded vectors.
-func (bd *Binding) replayDots(snap chainSnapshot, start int, dots []float64) {
-	b := bd.basis
-	if b.mode == RetainCompact {
-		replayDotsT(bd, snap.us32, start, dots)
-		return
-	}
-	// Full retention keeps the historical two-lane batch kernel for the
-	// saturated range (bitwise-equal to the multi-rewards kernel, but with
-	// lane pairs fanned over the pool — the right shape for one binding).
-	xs := snap.us[start : start+len(dots)]
-	i := 0
-	if fr := b.fr; fr != nil {
-		for i < len(dots) && !fr.Saturated(start+i-1) {
-			dots[i] = fr.RewardDot(start+i-1, xs[i], bd.rewards, b.plan.zpos)
-			i++
-		}
-	}
-	if i < len(dots) {
-		b.dtmc.P.RewardDotFusedBatch(xs[i:], bd.rewards, b.plan.zero, dots[i:])
-	}
-}
-
-// replayDotsT is the generic replay over either retention precision, used
-// by the compact path (and by PrebindMany through fillMany).
-func replayDotsT[T sparse.Real](bd *Binding, us [][]T, start int, dots []float64) {
-	b := bd.basis
-	xs := us[start : start+len(dots)]
-	i := 0
-	if fr := b.fr; fr != nil {
-		for i < len(dots) && !fr.Saturated(start+i-1) {
-			dots[i] = sparse.FrontierRewardDot(fr, start+i-1, xs[i], bd.rewards, b.plan.zpos)
-			i++
-		}
-	}
-	if i < len(dots) {
-		sparse.RewardDotMulti(b.dtmc.P, xs[i:], [][]float64{bd.rewards}, b.plan.zero, [][]float64{dots[i:]})
-	}
-}
-
-// BuildMany builds the series of several reward vectors over this basis's
-// shared DTMC in one multi-lane stepping pass (see BuildManyWithDTMC); each
-// returned series is bitwise-identical to the one the corresponding
-// binding's SeriesFor would build on a non-retaining basis. It is the
-// grouped construction path of the query planner for non-retaining compiled
-// models.
-func (b *Basis) BuildMany(rewardsList [][]float64, horizon float64) ([]*Series, error) {
-	return BuildManyWithDTMC(b.model, b.dtmc, rewardsList, b.regenState, b.opts, horizon)
-}
-
-// BuildManyCtx is BuildMany with cooperative cancellation (see
-// BuildManyWithDTMCCtx).
+// BuildManyCtx builds the series of several reward vectors over this
+// basis's shared DTMC in one multi-lane stepping pass (see
+// BuildManyWithDTMCCtx); each returned series is bitwise-identical to the
+// one the corresponding binding's SeriesFor would build on a non-retaining
+// basis. It is the grouped construction path of the query planner for
+// non-retaining compiled models.
 func (b *Basis) BuildManyCtx(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
 	return BuildManyWithDTMCCtx(ctx, b.model, b.dtmc, rewardsList, b.regenState, b.opts, horizon)
 }
 
 // Prewarm eagerly extends the reward-free retained chains deep enough to
-// certify the given horizon for any rewards vector with rmax ≤ 1 (the
-// conditional series are scale-free in the rewards, so this is the natural
-// unit proxy; larger rmax at query time only extends further from where the
-// warmup stopped). It makes the otherwise lazy compile phase do its
+// certify the given horizon for any rewards vector with rmax ≤ 1 — against
+// the same budget such a query certifies against, compact retention's
+// quantization carve-out included (the conditional series are scale-free
+// in the rewards, so this is the natural unit proxy; larger rmax at query
+// time only extends further from where the warmup stopped). When compact
+// retention cannot certify even unit rewards, it warms to the unit depth
+// without the carve-out. It makes the otherwise lazy compile phase do its
 // expensive stepping up front — which is what gives a compile request a
 // real cancellation surface. No-op on a non-retaining basis. Prewarm does
 // not change any result: chains extend to at least this depth on first
@@ -640,7 +545,10 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 		return err
 	}
 	lam := b.dtmc.Lambda * horizon
-	budget := b.chainBudget()
+	budget, err := b.truncBudget(1)
+	if err != nil {
+		budget = b.chainBudget()
+	}
 	if _, err := b.extend(ctx, b.main, func(a []float64, level int) bool {
 		return truncErrS(1, a, level, lam) <= budget
 	}); err != nil {
@@ -686,7 +594,7 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 		if bd.basis != b {
 			return fmt.Errorf("regen: PrebindMany binding %d belongs to a different basis", i)
 		}
-		bud, err := bd.truncBudget()
+		bud, err := b.truncBudget(bd.rmax)
 		if err != nil {
 			return err
 		}
@@ -740,37 +648,42 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 	return nil
 }
 
-// fillMany computes the missing b(k) of every binding over one chain
-// snapshot through the grouped replay kernels. Stores only ever grow and
-// every entry is a pure function of (basis, rewards, k), so concurrent
-// individual bSeries calls and fillMany commute: whoever appends first
-// appends the same values.
-func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, prime bool) {
-	store := func(bd *Binding) *[]float64 {
-		if prime {
-			return &bd.bPrime
-		}
-		return &bd.bMain
+// coefficients returns b(0..top) of one chain from the binding's store,
+// which fillMany must already have filled that far.
+func (bd *Binding) coefficients(prime bool, top int) []float64 {
+	bd.mu.Lock()
+	defer bd.mu.Unlock()
+	return (*bd.store(prime))[: top+1 : top+1]
+}
+
+// store returns the b-coefficient store of the main or primed chain;
+// caller holds bd.mu.
+func (bd *Binding) store(prime bool) *[]float64 {
+	if prime {
+		return &bd.bPrime
 	}
+	return &bd.bMain
+}
+
+// fillMany computes the missing b(0..tops[i]) of every binding over one
+// chain snapshot — the one replay path of every binding, whether it comes
+// alone (SeriesFor) or in a planner group (PrebindMany). Stores only ever
+// grow and every entry is a pure function of (basis, rewards, k), so
+// concurrent fills commute: whoever appends first appends the same values.
+func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, prime bool) {
 	type need struct {
-		bd    *Binding
-		start int // first missing coefficient index ≥ 1 at plan time
-		top   int
+		bd  *Binding
+		top int
 	}
 	var needs []need
 	lo, hi := int(^uint(0)>>1), -1
 	for i, bd := range bds {
 		top := tops[i]
 		bd.mu.Lock()
-		st := store(bd)
-		if len(*st) == 0 && top >= 0 {
-			*st = append(*st, bd.b0(snap))
-			bd.bytes.Add(8)
-		}
-		start := len(*st)
+		start := len(*bd.store(prime))
 		bd.mu.Unlock()
 		if start <= top {
-			needs = append(needs, need{bd: bd, start: start, top: top})
+			needs = append(needs, need{bd: bd, top: top})
 			if start < lo {
 				lo = start
 			}
@@ -791,42 +704,19 @@ func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, prime b
 		rewardsList[i] = nd.bd.rewards
 		outs[i] = make([]float64, hi+1-lo)
 	}
-	// Vector u_k was produced by step k−1: frontier replay while the
-	// reachable set was still growing, the multi-rewards batch kernel after
-	// — the association of each binding's own replay path.
-	k := lo
-	if fr := b.fr; fr != nil {
-		for ; k <= hi && !fr.Saturated(k-1); k++ {
-			for i, nd := range needs {
-				if b.mode == RetainCompact {
-					outs[i][k-lo] = sparse.FrontierRewardDot(fr, k-1, snap.us32[k], nd.bd.rewards, b.plan.zpos)
-				} else {
-					outs[i][k-lo] = sparse.FrontierRewardDot(fr, k-1, snap.us[k], nd.bd.rewards, b.plan.zpos)
-				}
-			}
-		}
-	}
-	if k <= hi {
-		tails := make([][]float64, len(needs))
-		for i := range outs {
-			tails[i] = outs[i][k-lo:]
-		}
-		if b.mode == RetainCompact {
-			sparse.RewardDotMulti(b.dtmc.P, snap.us32[k:hi+1], rewardsList, b.plan.zero, tails)
-		} else {
-			sparse.RewardDotMulti(b.dtmc.P, snap.us[k:hi+1], rewardsList, b.plan.zero, tails)
-		}
+	if b.mode == RetainCompact {
+		replayRange(b, snap.us32, lo, hi, rewardsList, outs)
+	} else {
+		replayRange(b, snap.us, lo, hi, rewardsList, outs)
 	}
 	for i, nd := range needs {
 		nd.bd.mu.Lock()
-		st := store(nd.bd)
+		st := nd.bd.store(prime)
 		initial := len(*st)
-		for kk := initial; kk <= nd.top; kk++ {
-			d := outs[i][kk-lo]
-			ak := snap.a[kk]
+		for k := initial; k <= nd.top; k++ {
 			var bk float64
-			if ak > 0 {
-				bk = d / ak
+			if ak := snap.a[k]; ak > 0 {
+				bk = outs[i][k-lo] / ak
 			}
 			*st = append(*st, bk)
 		}
@@ -834,5 +724,37 @@ func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, prime b
 			nd.bd.bytes.Add(8 * int64(grew))
 		}
 		nd.bd.mu.Unlock()
+	}
+}
+
+// replayRange fills outs[i][k−lo] with the reward dot u_k·rewardsList[i]
+// for k in [lo, hi], replaying the dot side of the exact kernel that
+// produced u_k: the plain compensated dot a fused build starts from for
+// u₀, the frontier kernel while the reachable set was still growing (u_k
+// is the output of step k−1), the full-sweep kernel after — same chunk
+// decomposition, same skip rule, same chain assignment — so under full
+// retention every coefficient matches the fused build bit for bit. Under
+// compact retention the same arithmetic runs over the float32 roundings.
+func replayRange[T sparse.Real](b *Basis, us [][]T, lo, hi int, rewardsList, outs [][]float64) {
+	k := lo
+	if k == 0 {
+		for i, rw := range rewardsList {
+			outs[i][0] = sparse.DotW(us[0], rw)
+		}
+		k = 1
+	}
+	if fr := b.fr; fr != nil {
+		for ; k <= hi && !fr.Saturated(k-1); k++ {
+			for i, rw := range rewardsList {
+				outs[i][k-lo] = sparse.FrontierRewardDot(fr, k-1, us[k], rw, b.plan.zpos)
+			}
+		}
+	}
+	if k <= hi {
+		tails := make([][]float64, len(outs))
+		for i := range outs {
+			tails[i] = outs[i][k-lo:]
+		}
+		sparse.RewardDotMulti(b.dtmc.P, us[k:hi+1], rewardsList, b.plan.zero, tails)
 	}
 }

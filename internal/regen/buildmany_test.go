@@ -1,6 +1,7 @@
 package regen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -40,6 +41,20 @@ func TestBuildManyBitwiseEqualsBuild(t *testing.T) {
 	}
 }
 
+// buildFullSweep is Build with frontier pruning off: every step runs the
+// full-sweep kernels.
+func buildFullSweep(model *ctmc.CTMC, rewards []float64, regen int, opts core.Options, horizon float64) (*Series, error) {
+	d, err := model.Uniformize(opts.UniformizationFactor)
+	if err != nil {
+		return nil, err
+	}
+	series, err := buildMany(context.Background(), model, d, [][]float64{rewards}, regen, opts, horizon, nil)
+	if err != nil {
+		return nil, err
+	}
+	return series[0], nil
+}
+
 // The frontier-pruned construction must agree with the full-sweep reference
 // path coefficient-for-coefficient to a tight relative tolerance (the
 // kernels sum identical non-negative terms under different deterministic
@@ -53,9 +68,7 @@ func TestBuildFrontierMatchesDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetDisableFrontier(true)
-	off, err := Build(model, rw, 0, opts, 200)
-	SetDisableFrontier(prev)
+	off, err := buildFullSweep(model, rw, 0, opts, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +129,7 @@ func TestBuildWithUnreachableStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetDisableFrontier(true)
-	off, err := Build(model, rw, 0, opts, 50)
-	SetDisableFrontier(prev)
+	off, err := buildFullSweep(model, rw, 0, opts, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

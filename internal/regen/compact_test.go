@@ -1,10 +1,12 @@
 package regen
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"regenrand/internal/core"
+	"regenrand/internal/raid"
 )
 
 // compactOpts returns options loose enough for float32 retention to
@@ -88,9 +90,10 @@ func TestCompactSeriesWithinQuantBound(t *testing.T) {
 }
 
 // PrebindMany must warm exactly the coefficients each binding's own
-// SeriesFor would compute — grouped (multi-rewards kernel) and individual
-// (two-lane batch / compact replay) paths interchangeable bit for bit — in
-// full and compact modes, across partial warm states and horizon orders.
+// SeriesFor would compute — the grouped replay (eight-vector blocks) and a
+// single binding's replay (the one-vector two-lane sweep) interchangeable
+// bit for bit — in full and compact modes, across partial warm states and
+// horizon orders.
 func TestPrebindManyBitwiseEqualsIndividual(t *testing.T) {
 	model := basisTestModel(t)
 	rewardsSets := [][]float64{
@@ -176,5 +179,44 @@ func TestPrebindManyEdgeCases(t *testing.T) {
 	}
 	if err := compact.PrebindMany([]*Binding{cb}, 10); err == nil {
 		t.Fatal("compact PrebindMany certified epsilon 1e-12")
+	}
+}
+
+// A compact prebuild must warm the chains as deep as a unit-rmax query
+// needs: queries certify against the budget minus the float32 carve-out
+// rmax·2⁻²³, and a warmup to the carve-out-free depth stops short of that
+// (G=20, ε=1e-6, h=1e5: 1,844 steps where the first query needs 1,870).
+// After the prebuild, queries with rmax ≤ 1 at h must not step at all.
+func TestCompactPrewarmCoversUnitQueries(t *testing.T) {
+	m, err := raid.Build(raid.DefaultParams(20), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Epsilon = 1e-6
+	const h = 1e5
+	b, err := NewBasisMode(m.Chain, m.Pristine, opts, RetainCompact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Prewarm(context.Background(), h); err != nil {
+		t.Fatal(err)
+	}
+	warm := b.Steps()
+	half := m.ThroughputRewards()
+	for i := range half {
+		half[i] /= 2
+	}
+	for _, rw := range [][]float64{m.UnavailabilityRewards(), m.ThroughputRewards(), half} {
+		bd, err := b.Bind(rw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bd.SeriesFor(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Steps(); got != warm {
+			t.Fatalf("rmax %v query at the prebuilt horizon extended the chain: %d -> %d steps", bd.RMax(), warm, got)
+		}
 	}
 }

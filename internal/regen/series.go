@@ -294,10 +294,9 @@ func (sa *slab32Arena) roundFrom(u []float64) []float32 {
 	return v
 }
 
-// chainState steps one restricted chain (regenerative or primed). rewards
-// may be nil (the reward-independent compile phase): the b series is then
-// not tracked, everything else is identical — the fused kernel's stepped
-// vector, mass and zero diversions do not depend on the rewards argument.
+// chainState steps one restricted chain (regenerative or primed) and
+// records its reward-free statistics a, q, v; reward series ride on top of
+// it (multiChain) or are replayed later from retained vectors (Binding).
 //
 // When fr is non-nil the chain steps through the reachability-frontier
 // kernels until the frontier saturates (see sparse.Frontier); the kernel
@@ -308,7 +307,7 @@ type chainState struct {
 	fr       *sparse.Frontier
 	u, buf   []float64
 	zeroVals []float64
-	a, b, q  []float64
+	a, q     []float64
 	v        [][]float64
 	done     bool
 	// record retains every post-zeroing stepped vector, the raw material for
@@ -330,18 +329,14 @@ type chainState struct {
 	// atomic add so readers never contend on the basis lock a long extension
 	// holds.
 	bytes *atomic.Int64
-	haveB bool // rewards were given at creation: the b series is tracked
 	n     int
 }
 
 // retainedStepBytes returns the heap bytes one recorded step adds: the
 // retained vector at the chain's retention precision plus the appended
-// a/q/v (and, when tracked, b) statistics.
+// a/q/v statistics.
 func (cs *chainState) retainedStepBytes() int64 {
 	stats := int64(2+len(cs.v)) * 8
-	if cs.haveB {
-		stats += 8
-	}
 	if cs.compact {
 		return int64(cs.n)*4 + stats
 	}
@@ -351,7 +346,7 @@ func (cs *chainState) retainedStepBytes() int64 {
 	return stats
 }
 
-func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rewards []float64, a0 float64, record, compact bool, bytes *atomic.Int64) *chainState {
+func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, a0 float64, record, compact bool, bytes *atomic.Int64) *chainState {
 	cs := &chainState{
 		fr:       fr,
 		zeroVals: make([]float64, len(plan.zero)),
@@ -361,7 +356,6 @@ func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rew
 		arena:    slabArena{n: n},
 		arena32:  slab32Arena{n: n},
 		bytes:    bytes,
-		haveB:    rewards != nil,
 		n:        n,
 	}
 	switch {
@@ -382,14 +376,7 @@ func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rew
 		cs.buf = make([]float64, n)
 	}
 	cs.a = append(cs.a, a0)
-	if a0 > 0 {
-		if rewards != nil {
-			cs.b = append(cs.b, sparse.Dot(u0, rewards)/a0)
-		}
-	} else {
-		if rewards != nil {
-			cs.b = append(cs.b, 0)
-		}
+	if !(a0 > 0) {
 		cs.done = true
 	}
 	if cs.bytes != nil {
@@ -407,24 +394,24 @@ func (cs *chainState) useFrontier() bool {
 	return cs.fr != nil && !cs.fr.Saturated(cs.stepIndex())
 }
 
-// step advances the chain one randomized step, recording a, b, q, v. The
+// step advances the chain one randomized step, recording a, q, v. The
 // vector–matrix product, the zeroing of the regenerative and absorbing
-// destinations, the surviving ℓ₁ mass a(k+1) and the reward dot-product all
-// come out of a single fused kernel pass — frontier-restricted while the
-// reachable set is still growing, full-sweep after.
-func (cs *chainState) step(d *ctmc.DTMC, plan *zeroPlan, rewards []float64) {
-	var next, dot float64
+// destinations and the surviving ℓ₁ mass a(k+1) all come out of a single
+// fused kernel pass — frontier-restricted while the reachable set is still
+// growing, full-sweep after.
+func (cs *chainState) step(d *ctmc.DTMC, plan *zeroPlan) {
+	var next float64
 	if cs.useFrontier() {
-		next, dot = cs.fr.StepFused(cs.stepIndex(), cs.buf, cs.u, rewards, plan.zpos, cs.zeroVals)
+		next, _ = cs.fr.StepFused(cs.stepIndex(), cs.buf, cs.u, nil, plan.zpos, cs.zeroVals)
 	} else {
-		next, dot = d.StepFused(cs.buf, cs.u, rewards, plan.zero, cs.zeroVals)
+		next, _ = d.StepFused(cs.buf, cs.u, nil, plan.zero, cs.zeroVals)
 	}
-	cs.finishStep(plan, next, dot, rewards != nil)
+	cs.finishStep(plan, next)
 }
 
 // finishStep records the outputs of one fused step (however it was
 // computed) and rotates the buffers.
-func (cs *chainState) finishStep(plan *zeroPlan, next, dot float64, haveRewards bool) {
+func (cs *chainState) finishStep(plan *zeroPlan, next float64) {
 	ak := cs.a[len(cs.a)-1]
 	cs.q = append(cs.q, cs.zeroVals[plan.regenPos]/ak)
 	for i, p := range plan.absPos {
@@ -438,17 +425,7 @@ func (cs *chainState) finishStep(plan *zeroPlan, next, dot float64, haveRewards 
 		cs.buf = cs.arena.next()
 	}
 	cs.a = append(cs.a, next)
-	if next > 0 {
-		if haveRewards {
-			cs.b = append(cs.b, dot/next)
-		}
-	} else {
-		if haveRewards {
-			cs.b = append(cs.b, 0)
-		}
-		cs.done = true
-	}
-	if next < underflowFloor {
+	if !(next > 0) || next < underflowFloor {
 		cs.done = true
 	}
 	if cs.bytes != nil {
@@ -456,38 +433,31 @@ func (cs *chainState) finishStep(plan *zeroPlan, next, dot float64, haveRewards 
 	}
 }
 
-// disableFrontier is the ablation/testing knob for reachability-frontier
-// pruning. It is read once per construction (Build*, NewBasis), so a basis
-// created with one setting keeps it for its whole life.
-var disableFrontier atomic.Bool
-
-// SetDisableFrontier turns reachability-frontier pruning off (true) or on
-// (false) for subsequently created constructions and returns the previous
-// setting. It exists for ablation benchmarks and equivalence tests; the
-// default (pruning on) is strictly faster and agrees with the reference
-// path to a couple of ulps per step.
-func SetDisableFrontier(v bool) bool { return disableFrontier.Swap(v) }
-
 // multiChain steps one restricted chain while tracking the conditional
 // reward series of any number of reward vectors. It is the construction
-// unit of BuildManyWithDTMC: the chain statistics live in the embedded
-// chainState; the per-rewards b series are appended here from the fused
-// kernels' dot lanes.
+// unit of every reward-carrying chain: the lanes of BuildManyWithDTMC and
+// the one-lane incremental store of a binding on a non-retaining basis. The
+// chain statistics live in the embedded chainState; the per-rewards b
+// series are appended here from the fused kernels' dot lanes.
 type multiChain struct {
 	cs          *chainState
 	rewardsList [][]float64
 	rewardsIx   []float64 // shared row-interleaved layout (nil for 1 lane)
 	bs          [][]float64
 	dots        []float64 // per-step scratch, one slot per rewards vector
+	// bytes, when non-nil, is charged 8 B per appended b coefficient (the
+	// chain statistics are charged by cs through the same counter).
+	bytes *atomic.Int64
 }
 
-func newMultiChain(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rewardsList [][]float64, rewardsIx []float64, a0 float64) *multiChain {
+func newMultiChain(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rewardsList [][]float64, rewardsIx []float64, a0 float64, bytes *atomic.Int64) *multiChain {
 	mc := &multiChain{
-		cs:          newChainState(n, plan, fr, u0, nil, a0, false, false, nil),
+		cs:          newChainState(n, plan, fr, u0, a0, false, false, bytes),
 		rewardsList: rewardsList,
 		rewardsIx:   rewardsIx,
 		bs:          make([][]float64, len(rewardsList)),
 		dots:        make([]float64, len(rewardsList)),
+		bytes:       bytes,
 	}
 	for ri, rw := range rewardsList {
 		var b0 float64
@@ -496,7 +466,15 @@ func newMultiChain(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rew
 		}
 		mc.bs[ri] = append(mc.bs[ri], b0)
 	}
+	mc.chargeB()
 	return mc
+}
+
+// chargeB accounts one appended b coefficient per lane.
+func (mc *multiChain) chargeB() {
+	if mc.bytes != nil {
+		mc.bytes.Add(8 * int64(len(mc.bs)))
+	}
 }
 
 // b returns the b series of rewards vector ri.
@@ -512,12 +490,12 @@ func (mc *multiChain) recordB(next float64, dots []float64) {
 		}
 		mc.bs[ri] = append(mc.bs[ri], bk)
 	}
+	mc.chargeB()
 }
 
-// step advances the chain alone. The single-rewards case runs the same
-// specialized fused kernel as the classic build; more lanes go through the
-// generic multi-lane kernel — per-lane results are bitwise-identical either
-// way.
+// step advances the chain alone. The single-rewards case runs the
+// specialized single-lane fused kernel; more lanes go through the generic
+// multi-lane kernel — per-lane results are bitwise-identical either way.
 func (mc *multiChain) step(d *ctmc.DTMC, plan *zeroPlan) {
 	cs := mc.cs
 	if len(mc.rewardsList) == 1 {
@@ -529,7 +507,7 @@ func (mc *multiChain) step(d *ctmc.DTMC, plan *zeroPlan) {
 		}
 		mc.dots[0] = dot
 		mc.recordB(next, mc.dots)
-		cs.finishStep(plan, next, 0, false)
+		cs.finishStep(plan, next)
 		return
 	}
 	stepMulti(d, plan, []*multiChain{mc})
@@ -559,7 +537,7 @@ func stepMulti(d *ctmc.DTMC, plan *zeroPlan, chains []*multiChain) {
 	}
 	for i, mc := range chains {
 		mc.recordB(lanes[i].Sum, lanes[i].Dots)
-		mc.cs.finishStep(plan, lanes[i].Sum, 0, false)
+		mc.cs.finishStep(plan, lanes[i].Sum)
 	}
 }
 
@@ -604,18 +582,18 @@ func Build(model *ctmc.CTMC, rewards []float64, regen int, opts core.Options, ho
 	if err != nil {
 		return nil, err
 	}
-	return BuildWithDTMC(model, d, rewards, regen, opts, horizon)
+	series, err := BuildManyWithDTMCCtx(context.Background(), model, d, [][]float64{rewards}, regen, opts, horizon)
+	if err != nil {
+		return nil, err
+	}
+	return series[0], nil
 }
 
 // frontierFor returns the reachability frontier the series constructions of
 // (model, regen) step through — sourced at the regenerative state plus the
 // support of the initial distribution, so the main and primed chains (and
-// their lockstep combination) share one frontier — or nil when frontier
-// pruning is disabled.
+// their lockstep combination) share one frontier.
 func frontierFor(model *ctmc.CTMC, d *ctmc.DTMC, regen int) *sparse.Frontier {
-	if disableFrontier.Load() {
-		return nil
-	}
 	init := model.Initial()
 	sources := make([]int, 0, 8)
 	sources = append(sources, regen)
@@ -625,25 +603,6 @@ func frontierFor(model *ctmc.CTMC, d *ctmc.DTMC, regen int) *sparse.Frontier {
 		}
 	}
 	return d.P.FrontierFor(sources)
-}
-
-// BuildWithDTMC is Build with the uniformized chain supplied by the caller:
-// the compile phase uniformizes a model once and shares the DTMC across
-// every measure bound to it. d must be the uniformization of model at
-// opts.UniformizationFactor (uniformization is deterministic, so a shared
-// DTMC yields series bitwise-identical to a per-call Uniformize).
-func BuildWithDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, regen int, opts core.Options, horizon float64) (*Series, error) {
-	return BuildWithDTMCCtx(context.Background(), model, d, rewards, regen, opts, horizon)
-}
-
-// BuildWithDTMCCtx is BuildWithDTMC with cooperative cancellation (see
-// BuildManyWithDTMCCtx).
-func BuildWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, regen int, opts core.Options, horizon float64) (*Series, error) {
-	series, err := BuildManyWithDTMCCtx(ctx, model, d, [][]float64{rewards}, regen, opts, horizon)
-	if err != nil {
-		return nil, err
-	}
-	return series[0], nil
 }
 
 // BuildManyWithDTMC builds the series of several reward vectors over one
@@ -669,6 +628,14 @@ func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, r
 	if err := validateRegenInputs(model, regen, &opts); err != nil {
 		return nil, err
 	}
+	return buildMany(ctx, model, d, rewardsList, regen, opts, horizon, frontierFor(model, d, regen))
+}
+
+// buildMany is BuildManyWithDTMCCtx over an explicit frontier: nil steps
+// every chain through the full-sweep kernels (the reference path the
+// frontier equivalence tests and benchmarks compare against). The
+// reward-independent inputs must already be validated.
+func buildMany(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64, fr *sparse.Frontier) ([]*Series, error) {
 	if len(rewardsList) == 0 {
 		return nil, fmt.Errorf("regen: BuildMany needs at least one rewards vector")
 	}
@@ -688,7 +655,6 @@ func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, r
 	n := model.N()
 	lam := d.Lambda * horizon
 	alphaR := init[regen]
-	fr := frontierFor(model, d, regen)
 	plan := newZeroPlan(n, regen, absorbing)
 
 	out := make([]*Series, len(rewardsList))
@@ -722,14 +688,14 @@ func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, r
 	// Regenerative chain: u_0 = e_r.
 	u0 := make([]float64, n)
 	u0[regen] = 1
-	main := newMultiChain(n, plan, fr, u0, rewardsList, rewardsIx, 1)
+	main := newMultiChain(n, plan, fr, u0, rewardsList, rewardsIx, 1, nil)
 	var prime *multiChain
 	if alphaR < 1 {
 		// Primed chain: u'_0 = initial distribution without r.
 		up0 := make([]float64, n)
 		copy(up0, init)
 		up0[regen] = 0
-		prime = newMultiChain(n, plan, fr, up0, rewardsList, rewardsIx, 1-alphaR)
+		prime = newMultiChain(n, plan, fr, up0, rewardsList, rewardsIx, 1-alphaR, nil)
 	}
 	mainNeeds := func() bool {
 		if main.cs.done {

@@ -196,10 +196,11 @@ func TestFusedBoundsFig34(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			noTrunc, err := NewEvaluator(series, nil, core.DefaultEpsilon, Config{DisableTailTruncation: true})
+			noTrunc, err := NewEvaluator(series, nil, core.DefaultEpsilon, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			noTrunc.fullSweep = true
 			for _, mrr := range []bool{false, true} {
 				fused, err := prod.runBounds(ts, mrr, nil)
 				if err != nil {

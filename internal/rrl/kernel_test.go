@@ -254,10 +254,11 @@ func TestTailTruncationWithinBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewEvaluator(series, nil, core.DefaultEpsilon, Config{DisableTailTruncation: true})
+		ref, err := NewEvaluator(series, nil, core.DefaultEpsilon, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref.fullSweep = true
 		ts := []float64{0.5, 5, 50, 200}
 		for _, mrr := range []bool{false, true} {
 			a, err := runMeasure(prod, ts, mrr)
@@ -270,7 +271,7 @@ func TestTailTruncationWithinBudget(t *testing.T) {
 			}
 			// Each run is certified within ε plus the Durbin series'
 			// double-precision floor of ~1e-12 relative to r_max (see
-			// laplace.Options.NoiseRel), so two independent runs may differ
+			// laplace's noiseRel floor), so two independent runs may differ
 			// by the sum of both budgets; anything materially beyond that
 			// means the truncation perturbed the transform.
 			for i := range ts {

@@ -37,10 +37,10 @@
 // transform p̃_a at shared abscissae, the mass side reading the sa/svs/z^K
 // sums the value side computes, so TRRBounds/MRRBounds cost barely more
 // than the values alone. The scalar full-sweep kernel (evalPacked, trr,
-// truncMass) is retained as the equivalence-test reference. The independent
-// time points of a batch fan out over the worker pool of package par — each
-// inversion is embarrassingly parallel — with results bitwise-identical to
-// a serial run.
+// truncMass) lives in the tests as the equivalence reference. The
+// independent time points of a batch fan out over the worker pool of
+// package par — each inversion is embarrassingly parallel — with results
+// bitwise-identical to a serial run.
 package rrl
 
 import (
@@ -58,19 +58,13 @@ import (
 )
 
 // Config holds the RRL-specific inversion knobs; the zero value reproduces
-// the paper (T = 8t, epsilon-algorithm acceleration on, geometric tail
-// truncation on).
+// the paper (T = 8t, epsilon-algorithm acceleration on).
 type Config struct {
 	// TFactor is the period multiplier κ in T = κt (0 → 8, the paper's
 	// choice after experimenting over 1..16).
 	TFactor float64
 	// DisableAcceleration turns off Wynn's epsilon algorithm (ablation).
 	DisableAcceleration bool
-	// DisableTailTruncation forces every abscissa to sweep the full packed
-	// coefficient array instead of stopping where the geometric tail bound
-	// suffix[d]·|z|^d falls below the evaluation's tail tolerance
-	// (reference/ablation configuration; see the package comment).
-	DisableTailTruncation bool
 	// Inverter selects the Laplace inversion backend by registry name
 	// (laplace.ForName): "durbin" — the paper's configuration and the
 	// default — or "euler", the Abate–Whitt binomial-averaging backend
@@ -246,15 +240,6 @@ func (s *Solver) bounds(ts []float64, mrr bool) ([]core.Bounds, error) {
 
 var _ core.BoundingSolver = (*Solver)(nil)
 
-// TransformTRR exposes the closed-form transform TRR̃(s) for tests and
-// diagnostics. It is only valid after a solve has built the series.
-func (s *Solver) TransformTRR(z complex128) complex128 {
-	if s.eval == nil {
-		return 0
-	}
-	return s.eval.tf.trr(z)
-}
-
 var _ core.Solver = (*Solver)(nil)
 
 // Evaluator inverts the closed-form transforms of one built series. It is
@@ -270,6 +255,10 @@ type Evaluator struct {
 	eps    float64
 	conf   Config
 	inv    laplace.Inverter
+	// fullSweep makes every abscissa sweep the whole packed coefficient
+	// array (no geometric tail truncation) — the reference configuration
+	// the truncation tests compare against.
+	fullSweep bool
 }
 
 // NewEvaluator packs the transform coefficients of a built series. rho0
@@ -405,9 +394,9 @@ const (
 )
 
 // tailTol returns the per-abscissa tail tolerance of one inversion, or 0
-// (no truncation) under DisableTailTruncation.
+// (no truncation) on a fullSweep evaluator.
 func (e *Evaluator) tailTol(opt laplace.Options, t float64) float64 {
-	if e.conf.DisableTailTruncation {
+	if e.fullSweep {
 		return 0
 	}
 	scale := math.Exp(opt.Damping*t) / (opt.TFactor * t)
@@ -566,7 +555,7 @@ func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
 		mass = 1
 	}
 	// The margin covers the ε/2 inversion budget plus the double-precision
-	// floor of the Durbin series (cf. laplace.Options.NoiseRel): the series
+	// floor of the Durbin series (cf. laplace's noiseRel): the series
 	// cannot be summed more accurately than ~1e-12 relative to r_max in
 	// double precision.
 	margin := e.eps
@@ -580,64 +569,6 @@ func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
 		lo = 0
 	}
 	return core.Bounds{T: t, Lower: lo, Upper: hi}
-}
-
-// boundsFromValues is the separate-inversion bounds path of PR 2, retained
-// as the reference the fused runBounds is equivalence-tested against: the
-// truncation-mass transform is inverted on its own (scalar kernels, full
-// sweeps, damping from the mass bound 1) over already-computed values.
-func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr bool, stats *core.StatsAccum) ([]core.Bounds, error) {
-	eps := e.eps
-	out := make([]core.Bounds, len(ts))
-	errs := make([]error, len(ts))
-	// The truncation-mass inversions are as independent as the value
-	// inversions; fan them out the same way.
-	par.For(len(ts), func(i int) {
-		t := ts[i]
-		if t == 0 {
-			out[i] = core.Bounds{T: 0, Lower: values[i].Value, Upper: values[i].Value}
-			return
-		}
-		T := e.conf.TFactor * t
-		var f laplace.BlockFunc
-		var opt laplace.Options
-		if mrr {
-			f = laplace.Scalar(func(s complex128) complex128 { return e.tf.truncMass(s) / s })
-			opt = laplace.Options{
-				TFactor:    e.conf.TFactor,
-				Damping:    laplace.DampingCumulative(1, eps, t, T),
-				Tol:        t * eps / 100,
-				Accelerate: !e.conf.DisableAcceleration,
-			}
-		} else {
-			f = laplace.Scalar(e.tf.truncMass)
-			opt = laplace.Options{
-				TFactor:    e.conf.TFactor,
-				Damping:    laplace.DampingTRR(1, eps/4, T),
-				Tol:        eps / 100,
-				Accelerate: !e.conf.DisableAcceleration,
-			}
-		}
-		res, err := laplace.Invert(f, t, opt)
-		if err != nil {
-			errs[i] = fmt.Errorf("rrl: truncation mass at t=%v: %w", t, err)
-			return
-		}
-		mass := res.Value
-		if mrr {
-			mass /= t
-		}
-		out[i] = e.enclose(t, values[i].Value, mass)
-		if stats != nil {
-			stats.AddAbscissae(res.Abscissae)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // transform evaluates the closed-form Laplace transforms of V_{K,L}.
@@ -703,117 +634,4 @@ func packSeries(a, b []float64, v [][]float64, rAbs []float64, top int) []float6
 		}
 	}
 	return packed
-}
-
-// evalPacked evaluates the four interleaved polynomials at z in one
-// ascending pass with a shared running power, returning
-//
-//	sa = Σ a(k)z^k,  sc = Σ c(k)z^k,  svs = Σ vs(k)z^k,  svr = Σ vr(k)z^k
-//
-// and zTop = z^top as a byproduct of the same pass (replacing the separate
-// binary exponentiations the old evaluator ran per abscissa). Coefficients
-// are real, so each term costs two real multiply-adds per series instead of
-// a complex Horner multiply. This is the scalar reference kernel the
-// blocked evalPackedBlock is equivalence-tested against; every degree below
-// the top updates the power, so the branch is hoisted out of the body and
-// the loop unrolled in pairs (arithmetic order per degree is unchanged, so
-// the results are bit-identical to the rolled form).
-func evalPacked(packed []float64, z complex128) (sa, sc, svs, svr, zTop complex128) {
-	zr, zi := real(z), imag(z)
-	pr, pi := 1.0, 0.0
-	var sar, sai, scr, sci, svsr, svsi, svrr, svri float64
-	n := len(packed)
-	base := 0
-	for ; base+8 < n; base += 8 {
-		c0, c1, c2, c3 := packed[base], packed[base+1], packed[base+2], packed[base+3]
-		sar += c0 * pr
-		sai += c0 * pi
-		scr += c1 * pr
-		sci += c1 * pi
-		svsr += c2 * pr
-		svsi += c2 * pi
-		svrr += c3 * pr
-		svri += c3 * pi
-		pr, pi = pr*zr-pi*zi, pr*zi+pi*zr
-		c0, c1, c2, c3 = packed[base+4], packed[base+5], packed[base+6], packed[base+7]
-		sar += c0 * pr
-		sai += c0 * pi
-		scr += c1 * pr
-		sci += c1 * pi
-		svsr += c2 * pr
-		svsi += c2 * pi
-		svrr += c3 * pr
-		svri += c3 * pi
-		pr, pi = pr*zr-pi*zi, pr*zi+pi*zr
-	}
-	if base+4 < n {
-		c0, c1, c2, c3 := packed[base], packed[base+1], packed[base+2], packed[base+3]
-		sar += c0 * pr
-		sai += c0 * pi
-		scr += c1 * pr
-		sci += c1 * pi
-		svsr += c2 * pr
-		svsi += c2 * pi
-		svrr += c3 * pr
-		svri += c3 * pi
-		pr, pi = pr*zr-pi*zi, pr*zi+pi*zr
-		base += 4
-	}
-	// Top degree: no trailing power update, so zTop = z^top falls out.
-	c0, c1, c2, c3 := packed[base], packed[base+1], packed[base+2], packed[base+3]
-	sar += c0 * pr
-	sai += c0 * pi
-	scr += c1 * pr
-	sci += c1 * pi
-	svsr += c2 * pr
-	svsi += c2 * pi
-	svrr += c3 * pr
-	svri += c3 * pi
-	return complex(sar, sai), complex(scr, sci), complex(svsr, svsi), complex(svrr, svri),
-		complex(pr, pi)
-}
-
-// trr evaluates TRR̃(s).
-func (tf *transform) trr(s complex128) complex128 {
-	lam := complex(tf.lambda, 0)
-	z := lam / (s + lam)
-	sa, sc, svs, svr, zK := evalPacked(tf.packed, z)
-
-	b := s*sa + lam*svs + lam*complex(tf.aK, 0)*zK
-
-	aNum := complex(1, 0)
-	var primed complex128
-	if tf.l >= 0 {
-		sap, scp, svsp, svrp, zL := evalPacked(tf.packedP, z)
-		aNum = 1 - s/(s+lam)*sap - lam/(s+lam)*svsp -
-			complex(tf.apL, 0)*(zL*z)
-		primed = z/lam*scp + z/s*svrp
-	}
-	p0 := aNum / b
-	return (sc+lam/s*svr)*p0 + primed
-}
-
-// cumulative evaluates C̃(s) = TRR̃(s)/s, the transform of t·MRR(t).
-func (tf *transform) cumulative(s complex128) complex128 {
-	return tf.trr(s) / s
-}
-
-// truncMass evaluates p̃_a(s), the transform of the probability of the
-// truncation state a: s·p̃_a = Λ(p̃_K + p̃'_L).
-func (tf *transform) truncMass(s complex128) complex128 {
-	lam := complex(tf.lambda, 0)
-	z := lam / (s + lam)
-	sa, _, svs, _, zK := evalPacked(tf.packed, z)
-	b := s*sa + lam*svs + lam*complex(tf.aK, 0)*zK
-	aNum := complex(1, 0)
-	var primed complex128
-	if tf.l >= 0 {
-		sap, _, svsp, _, zL := evalPacked(tf.packedP, z)
-		zL1 := zL * z
-		aNum = 1 - s/(s+lam)*sap - lam/(s+lam)*svsp -
-			complex(tf.apL, 0)*zL1
-		primed = complex(tf.apL, 0) * zL1 / s
-	}
-	p0 := aNum / b
-	return lam/s*complex(tf.aK, 0)*zK*p0 + primed
 }

@@ -92,16 +92,15 @@ type Meta struct {
 	// returns it untrusted; the loader recomputes the key over the decoded
 	// model + options and rejects the snapshot on mismatch — that
 	// recomputation, not this field, is the integrity proof.
-	Key                   string
-	RegenState            int
-	Epsilon               float64
-	UniformizationFactor  float64
-	DisableRetention      bool
-	CompactRetention      bool
-	TFactor               float64
-	DisableAcceleration   bool
-	DisableTailTruncation bool
-	HorizonBuckets        int
+	Key                  string
+	RegenState           int
+	Epsilon              float64
+	UniformizationFactor float64
+	DisableRetention     bool
+	CompactRetention     bool
+	TFactor              float64
+	DisableAcceleration  bool
+	HorizonBuckets       int
 	// Inverter is the Laplace backend registry name the model compiled for
 	// (RRLConfig.Inverter, normalized — "durbin" or "euler"). Part of the
 	// compile content key, so the loader's key recomputation verifies it
@@ -209,9 +208,6 @@ func metaFlags(m *Meta) uint8 {
 	}
 	if m.DisableAcceleration {
 		f |= 4
-	}
-	if m.DisableTailTruncation {
-		f |= 8
 	}
 	return f
 }
@@ -551,8 +547,7 @@ func decodeMeta(payload []byte, modelBytes int) (Meta, error) {
 	m.DisableRetention = flags&1 != 0
 	m.CompactRetention = flags&2 != 0
 	m.DisableAcceleration = flags&4 != 0
-	m.DisableTailTruncation = flags&8 != 0
-	if r.err == nil && flags&^uint8(15) != 0 {
+	if r.err == nil && flags&^uint8(7) != 0 {
 		r.fail("unknown meta flags %#x", flags)
 	}
 	m.TFactor = r.f64()

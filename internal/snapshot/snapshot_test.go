@@ -270,3 +270,27 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 	}
 }
+
+// Meta flag bit 8 once carried a tail-truncation ablation that no longer
+// exists; like every other unassigned bit it must decode as corrupt rather
+// than be silently ignored.
+func TestDecodeMetaRejectsUnassignedFlags(t *testing.T) {
+	m := testMeta(testModel(t), false)
+	payload := encodeMeta(&m)
+	flagsAt := 4 + len(m.Key) + 8 + 8 + 8 // key length, key, regen state, ε, factor
+	if _, err := decodeMeta(payload, 1<<20); err != nil {
+		t.Fatalf("clean meta: %v", err)
+	}
+	known := append([]byte(nil), payload...)
+	known[flagsAt] |= 4
+	if got, err := decodeMeta(known, 1<<20); err != nil || !got.DisableAcceleration {
+		t.Fatalf("flag byte not at offset %d: %+v, %v", flagsAt, got, err)
+	}
+	for _, bit := range []uint8{8, 16, 128} {
+		bad := append([]byte(nil), payload...)
+		bad[flagsAt] |= bit
+		if _, err := decodeMeta(bad, 1<<20); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("flag bit %#x: got %v, want ErrCorrupt", bit, err)
+		}
+	}
+}

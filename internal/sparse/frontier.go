@@ -41,7 +41,7 @@ type Frontier struct {
 	// vs the scalar reference); only the cross-row visitation — and with it
 	// the Kahan chain assignment of the mass/dot reductions — changes, and
 	// it is a pure function of (matrix, sources), replayed identically by
-	// every frontier kernel (StepFused, StepFusedMulti, RewardDot).
+	// every frontier kernel (StepFused, StepFusedMulti, FrontierRewardDot).
 	gorder []int32
 	// levelEnd[l] is the number of rows of level ≤ l (prefix length into
 	// order); levels run 0..maxLevel where maxLevel = len(levelEnd)-1.
@@ -324,7 +324,7 @@ func (f *Frontier) getPartials() *[]fusedPartial {
 //
 // Within a chunk, row number i of the permuted sweep feeds Kahan chain i&3,
 // folded in chain order into the chunk partial; partials reduce in chunk
-// order — the association RewardDot replays exactly.
+// order — the association FrontierRewardDot replays exactly.
 func (f *Frontier) StepFused(step int, dst, src, rewards []float64, zpos []int32, zeroVals []float64) (sum, dot float64) {
 	m := f.m
 	if len(dst) != m.n || len(src) != m.n || len(zpos) != m.n {
@@ -360,7 +360,7 @@ func (f *Frontier) StepFused(step int, dst, src, rewards []float64, zpos []int32
 // stepChunk processes one chunk of the grouped permuted sweep: quads of four
 // length-bucketed rows run the four-chain gather (rowSum4g; per-row sums
 // bitwise-identical to rowSum), visitation position i feeds Kahan chain
-// (i−lo)&3, folded in chain order — the association RewardDot replays.
+// (i−lo)&3, folded in chain order — the association FrontierRewardDot replays.
 func (f *Frontier) stepChunk(p *fusedPartial, c int, dst, src, rewards []float64, zpos []int32, zeroVals []float64) {
 	m := f.m
 	g := m.gather(src)
@@ -453,14 +453,6 @@ func (f *Frontier) stepChunk(p *fusedPartial, c int, dst, src, rewards []float64
 	foldChains(p, &ms, &mc, &ds, &dc)
 }
 
-// RewardDot replays the reward dot-product of a retained frontier step: x
-// must be the vector produced by the step with the given index, and the
-// result is bitwise-identical to the dot StepFused(step, ...) returned —
-// same swept rows, same skip rule, same four chains per chunk, same folds.
-func (f *Frontier) RewardDot(step int, x, rewards []float64, zpos []int32) float64 {
-	return FrontierRewardDot(f, step, x, rewards, zpos)
-}
-
 // StepLane is one chain of a multi-lane lockstep step: its own distribution
 // vectors and zero diversions, and any number of reward vectors to dot
 // against. Sum and Dots receive the lane's compensated results.
@@ -512,8 +504,8 @@ func InterleaveRewards(rewardsList [][]float64) []float64 {
 // index/value streams are loaded once for all lanes, halving (or better)
 // the dominant memory traffic of stepping the main and primed chains — or
 // one chain against several reward vectors — in lockstep. Every lane's Sum,
-// Dots, Dst and ZeroVals are bitwise-identical to a single-lane
-// StepFused/RewardDot pass of that lane at the same step, because the
+// Dots, Dst and ZeroVals are bitwise-identical to a single-lane StepFused
+// (or FrontierRewardDot replay) of that lane at the same step, because the
 // per-lane arithmetic — gather order, chain assignment, folds — is
 // unchanged; only the traversal interleaves.
 func (f *Frontier) StepFusedMulti(step int, lanes []StepLane, zpos []int32) {

@@ -146,8 +146,8 @@ func TestFrontierStepMatchesStepFused(t *testing.T) {
 				t.Errorf("trial %d step %d: dot %v vs plain %v (%d ulp)", trial, step, fdot, pdot, d)
 			}
 			// The replay must match the frontier step's dot bitwise.
-			if got := f.RewardDot(step, fdst, rewards, zp); math.Float64bits(got) != math.Float64bits(fdot) {
-				t.Fatalf("trial %d step %d: RewardDot %v != step dot %v", trial, step, got, fdot)
+			if got := FrontierRewardDot(f, step, fdst, rewards, zp); math.Float64bits(got) != math.Float64bits(fdot) {
+				t.Fatalf("trial %d step %d: FrontierRewardDot %v != step dot %v", trial, step, got, fdot)
 			}
 			copy(u, fdst)
 		}
@@ -219,7 +219,7 @@ func TestStepFusedMultiMatchesSingle(t *testing.T) {
 			sumB, dotB := f.StepFused(step, dB, srcB, rw1, zp, zvB)
 			check("frontier", []float64{sumA, sumB}, []float64{dotA, dotB}, [][]float64{dA, dB}, [][]float64{zvA, zvB})
 			// Second rewards lane replays bitwise.
-			if got := f.RewardDot(step, dB, rw2, zp); math.Float64bits(got) != math.Float64bits(lanes[1].Dots[1]) {
+			if got := FrontierRewardDot(f, step, dB, rw2, zp); math.Float64bits(got) != math.Float64bits(lanes[1].Dots[1]) {
 				t.Fatalf("trial %d step %d: lane rewards[1] dot %v != replay %v", trial, step, lanes[1].Dots[1], got)
 			}
 

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -135,9 +136,44 @@ func TestRewardDotFusedMatchesStepFused(t *testing.T) {
 	}
 }
 
-// The four-lane batch dot must be bitwise-identical to the single-vector
-// kernel for every batch size, including ragged tails.
-func TestRewardDotFusedBatchMatchesSingle(t *testing.T) {
+// checkOneVectorReplay runs one-vector RewardDotMulti (the two-lane
+// register sweep) over xs at both retention precisions: float64 results
+// must equal RewardDotFused bitwise, float32 results must equal the same
+// vector's row of a two-rewards call (the blocked sweep).
+func checkOneVectorReplay(t *testing.T, m *Matrix, xs [][]float64, rewards []float64, zero []int32, label string) {
+	t.Helper()
+	out := [][]float64{make([]float64, len(xs))}
+	RewardDotMulti(m, xs, [][]float64{rewards}, zero, out)
+	for b := range xs {
+		want := m.RewardDotFused(xs[b], rewards, zero)
+		if math.Float64bits(out[0][b]) != math.Float64bits(want) {
+			t.Fatalf("%s lane %d: one-vector replay %v != RewardDotFused %v", label, b, out[0][b], want)
+		}
+	}
+	xs32 := make([][]float32, len(xs))
+	for b, x := range xs {
+		xs32[b] = make([]float32, len(x))
+		for i, v := range x {
+			xs32[b][i] = float32(v)
+		}
+	}
+	other := make([]float64, len(rewards))
+	for i := range other {
+		other[i] = float64(i%5) - 1.5
+	}
+	RewardDotMulti(m, xs32, [][]float64{rewards}, zero, out)
+	grouped := [][]float64{make([]float64, len(xs)), make([]float64, len(xs))}
+	RewardDotMulti(m, xs32, [][]float64{rewards, other}, zero, grouped)
+	for b := range xs {
+		if math.Float64bits(out[0][b]) != math.Float64bits(grouped[0][b]) {
+			t.Fatalf("%s lane %d: float32 one-vector replay %v != grouped row %v", label, b, out[0][b], grouped[0][b])
+		}
+	}
+}
+
+// One-vector replay pairs retained vectors into two-lane sweeps; every
+// count, including ragged odd tails, must match the per-vector kernel.
+func TestRewardDotMultiOneVectorMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, n := range []int{3, 37, 400, 3000} {
 		m := randomKernelMatrix(t, rng, n, 6)
@@ -159,25 +195,18 @@ func TestRewardDotFusedBatchMatchesSingle(t *testing.T) {
 					xs[b][i] = rng.Float64()
 				}
 			}
-			out := make([]float64, count)
-			m.RewardDotFusedBatch(xs, rewards, zero, out)
-			for b := range xs {
-				want := m.RewardDotFused(xs[b], rewards, zero)
-				if math.Float64bits(out[b]) != math.Float64bits(want) {
-					t.Fatalf("n=%d count=%d lane %d: batch %v != single %v", n, count, b, out[b], want)
-				}
-			}
+			checkOneVectorReplay(t, m, xs, rewards, zero, fmt.Sprintf("n=%d count=%d", n, count))
 		}
 	}
 }
 
-// The batch kernel's register-chain rewrite splits the row loop into an
-// aligned-quad fast path, a per-row path for quads containing zeroed rows,
-// and a sub-quad tail. Each split must stay bitwise-identical to the
-// single-vector kernel under adversarial zero placements: runs of adjacent
-// zeros inside one quad, zeros at chunk boundaries, zeros in the tail rows,
-// everything zeroed, and nothing zeroed.
-func TestRewardDotFusedBatchZeroPatterns(t *testing.T) {
+// The two-lane sweep splits the row loop into an aligned-quad fast path, a
+// per-row path for quads containing zeroed rows, and a sub-quad tail. Each
+// split must stay bitwise-identical to the per-vector kernel under
+// adversarial zero placements: runs of adjacent zeros inside one quad,
+// zeros at chunk boundaries, zeros in the tail rows, everything zeroed, and
+// nothing zeroed.
+func TestRewardDotMultiOneVectorZeroPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{5, 6, 7, 8, 9, 64, 257, 3001} {
 		m := randomKernelMatrix(t, rng, n, 4)
@@ -217,15 +246,8 @@ func TestRewardDotFusedBatchZeroPatterns(t *testing.T) {
 				xs[b][i] = rng.NormFloat64()
 			}
 		}
-		out := make([]float64, len(xs))
 		for name, zero := range patterns {
-			m.RewardDotFusedBatch(xs, rewards, zero, out)
-			for b := range xs {
-				want := m.RewardDotFused(xs[b], rewards, zero)
-				if math.Float64bits(out[b]) != math.Float64bits(want) {
-					t.Fatalf("n=%d pattern %q lane %d: batch %v != single %v", n, name, b, out[b], want)
-				}
-			}
+			checkOneVectorReplay(t, m, xs, rewards, zero, fmt.Sprintf("n=%d pattern %q", n, name))
 		}
 	}
 }

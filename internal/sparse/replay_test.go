@@ -61,14 +61,14 @@ func TestRewardDotMultiBitwiseEqualsSingle(t *testing.T) {
 				}
 			}
 		}
-		// The two-lane batch kernel must agree too (it is the full-retention
-		// binding path; the planner's grouped path must be interchangeable
-		// with it coefficient for coefficient).
-		batch := make([]float64, count)
-		m.RewardDotFusedBatch(xs, rewardsList[0], zero, batch)
-		for i := range batch {
-			if math.Float64bits(batch[i]) != math.Float64bits(out[0][i]) {
-				t.Fatalf("trial %d: batch[%d] = %v, multi %v", trial, i, batch[i], out[0][i])
+		// The one-vector call runs the two-lane register sweep (a single
+		// binding's replay); the planner's grouped path must be
+		// interchangeable with it coefficient for coefficient.
+		one := [][]float64{make([]float64, count)}
+		RewardDotMulti(m, xs, rewardsList[:1], zero, one)
+		for i := range one[0] {
+			if math.Float64bits(one[0][i]) != math.Float64bits(out[0][i]) {
+				t.Fatalf("trial %d: one-vector[%d] = %v, multi %v", trial, i, one[0][i], out[0][i])
 			}
 		}
 	}
@@ -125,10 +125,8 @@ func TestRewardDotMultiFloat32(t *testing.T) {
 	}
 }
 
-// DotW over float64 must be bitwise Dot; FrontierRewardDot over float64 is
-// the replay RewardDot delegates to (covered by the frontier tests) — here
-// check the float32 frontier replay agrees with a widened scalar reference
-// association-for-association on a single-chunk matrix.
+// DotW over float64 must be bitwise Dot (the k = 0 replay coefficient of
+// either retention precision runs through it).
 func TestDotWMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 10; trial++ {

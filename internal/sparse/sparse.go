@@ -418,19 +418,6 @@ func (m *Matrix) vecMatRange(dst, src []float64, lo, hi int) {
 	}
 }
 
-// vecMatRangeRef is the scalar reference gather retained for the
-// equivalence tests of the quad-row kernels.
-func (m *Matrix) vecMatRangeRef(dst, src []float64, lo, hi int) {
-	inPtr, inSrc, inVal := m.inPtr, m.inSrc, m.inVal
-	for j := lo; j < hi; j++ {
-		var sum float64
-		for p := inPtr[j]; p < inPtr[j+1]; p++ {
-			sum += src[inSrc[p]] * inVal[p]
-		}
-		dst[j] = sum
-	}
-}
-
 // vecMatParallel runs the precomputed chunks on the persistent worker pool.
 // Chunks write disjoint destination ranges, so no synchronization beyond the
 // pool barrier is needed and the result is identical to the serial product.
@@ -665,42 +652,6 @@ func foldChains(p *fusedPartial, ms, mc, ds, dc *[4]float64) {
 	p.dot, p.dotC = dAcc.sum, dAcc.comp
 }
 
-// stepFusedRangeRef is the scalar reference of stepFusedRange, retained for
-// the equivalence tests of the quad-row kernel.
-func (m *Matrix) stepFusedRangeRef(p *fusedPartial, dst, src, rewards []float64, zero []int32, zeroVals []float64, lo, hi int) {
-	inPtr, inSrc, inVal := m.inPtr, m.inSrc, m.inVal
-	zi := sort.Search(len(zero), func(i int) bool { return int(zero[i]) >= lo })
-	sum, sumC := p.sum, p.sumC
-	dot, dotC := p.dot, p.dotC
-	for j := lo; j < hi; j++ {
-		var s float64
-		for q := inPtr[j]; q < inPtr[j+1]; q++ {
-			s += src[inSrc[q]] * inVal[q]
-		}
-		if zi < len(zero) && int(zero[zi]) == j {
-			if zeroVals != nil {
-				zeroVals[zi] = s
-			}
-			dst[j] = 0
-			zi++
-			continue
-		}
-		dst[j] = s
-		y := s - sumC
-		t := sum + y
-		sumC = (t - sum) - y
-		sum = t
-		if rewards != nil {
-			y = s*rewards[j] - dotC
-			t = dot + y
-			dotC = (t - dot) - y
-			dot = t
-		}
-	}
-	p.sum, p.sumC = sum, sumC
-	p.dot, p.dotC = dot, dotC
-}
-
 // StepFused computes dst = src·M, zeroes dst at the destinations listed in
 // zero, and returns the Kahan-compensated sums
 //
@@ -808,145 +759,6 @@ func (m *Matrix) rewardDotRange(p *fusedPartial, x, rewards []float64, zero []in
 	ds := [4]float64{d0, d1, d2, d3}
 	dc := [4]float64{e0, e1, e2, e3}
 	foldChains(p, &ms, &mc, &ds, &dc)
-}
-
-// RewardDotFusedBatch computes RewardDotFused(x, rewards, zero) for every
-// x in xs, writing the results to out (len(out) must equal len(xs)). It is
-// bitwise-identical to calling RewardDotFused per vector — the same four
-// position-interleaved Kahan chains per chunk, folded in chain order, with
-// chunks folded in chunk order — but processes two vectors per sweep, so
-// the rewards vector is streamed once per lane pair and the eight Kahan
-// recurrences (two lanes × four chains) overlap in the pipeline. Lane pairs
-// fan out over the worker pool. This is the kernel the compile phase binds
-// new reward vectors with (one dot per retained step vector).
-func (m *Matrix) RewardDotFusedBatch(xs [][]float64, rewards []float64, zero []int32, out []float64) {
-	if len(out) != len(xs) {
-		panic("sparse: RewardDotFusedBatch output length mismatch")
-	}
-	if len(rewards) != m.n {
-		panic("sparse: RewardDotFusedBatch rewards length mismatch")
-	}
-	for _, x := range xs {
-		if len(x) != m.n {
-			panic("sparse: RewardDotFusedBatch vector length mismatch")
-		}
-	}
-	const laneWidth = 2
-	groups := (len(xs) + laneWidth - 1) / laneWidth
-	par.For(groups, func(g int) {
-		base := laneWidth * g
-		lanes := len(xs) - base
-		if lanes > laneWidth {
-			lanes = laneWidth
-		}
-		x0 := xs[base]
-		x1 := x0 // pad the missing lane with lane 0; its result is discarded
-		if lanes > 1 {
-			x1 = xs[base+1]
-		}
-		var a0, a1 Accumulator
-		nc := len(m.chunks) - 1
-		for c := 0; c < nc; c++ {
-			lo, hi := m.chunks[c], m.chunks[c+1]
-			zi := sort.Search(len(zero), func(i int) bool { return int(zero[i]) >= lo })
-			// Two lanes × four position-interleaved Kahan chains, all in
-			// named registers — an indexed [4]float64 rotation forces a
-			// store/load per row, which is the whole cost of a replay sweep
-			// (same rewrite as rewardDotRange, doubled).
-			var (
-				d00, e00, d01, e01, d02, e02, d03, e03 float64 // lane 0
-				d10, e10, d11, e11, d12, e12, d13, e13 float64 // lane 1
-			)
-			j := lo
-			for ; j+4 <= hi; j += 4 {
-				if zi < len(zero) && int(zero[zi]) < j+4 {
-					// A skipped row falls in this aligned quad: per-row path
-					// with the same positional chain assignment.
-					for g := 0; g < 4; g++ {
-						row := j + g
-						if zi < len(zero) && int(zero[zi]) == row {
-							zi++
-							continue
-						}
-						r := rewards[row]
-						y0 := x0[row] * r
-						y1 := x1[row] * r
-						switch g {
-						case 0:
-							d00, e00 = kahanAdd(d00, e00, y0)
-							d10, e10 = kahanAdd(d10, e10, y1)
-						case 1:
-							d01, e01 = kahanAdd(d01, e01, y0)
-							d11, e11 = kahanAdd(d11, e11, y1)
-						case 2:
-							d02, e02 = kahanAdd(d02, e02, y0)
-							d12, e12 = kahanAdd(d12, e12, y1)
-						case 3:
-							d03, e03 = kahanAdd(d03, e03, y0)
-							d13, e13 = kahanAdd(d13, e13, y1)
-						}
-					}
-					continue
-				}
-				r0, r1, r2, r3 := rewards[j], rewards[j+1], rewards[j+2], rewards[j+3]
-				d00, e00 = kahanAdd(d00, e00, x0[j]*r0)
-				d10, e10 = kahanAdd(d10, e10, x1[j]*r0)
-				d01, e01 = kahanAdd(d01, e01, x0[j+1]*r1)
-				d11, e11 = kahanAdd(d11, e11, x1[j+1]*r1)
-				d02, e02 = kahanAdd(d02, e02, x0[j+2]*r2)
-				d12, e12 = kahanAdd(d12, e12, x1[j+2]*r2)
-				d03, e03 = kahanAdd(d03, e03, x0[j+3]*r3)
-				d13, e13 = kahanAdd(d13, e13, x1[j+3]*r3)
-			}
-			for t := 0; j < hi; j, t = j+1, t+1 {
-				if zi < len(zero) && int(zero[zi]) == j {
-					zi++
-					continue
-				}
-				r := rewards[j]
-				y0 := x0[j] * r
-				y1 := x1[j] * r
-				switch t {
-				case 0:
-					d00, e00 = kahanAdd(d00, e00, y0)
-					d10, e10 = kahanAdd(d10, e10, y1)
-				case 1:
-					d01, e01 = kahanAdd(d01, e01, y0)
-					d11, e11 = kahanAdd(d11, e11, y1)
-				case 2:
-					d02, e02 = kahanAdd(d02, e02, y0)
-					d12, e12 = kahanAdd(d12, e12, y1)
-				}
-			}
-			// Fold the four chains of this chunk exactly as foldChains does,
-			// then fold the chunk exactly as reducePartials does.
-			var f0, f1 Accumulator
-			f0.Add(d00)
-			f0.Add(-e00)
-			f0.Add(d01)
-			f0.Add(-e01)
-			f0.Add(d02)
-			f0.Add(-e02)
-			f0.Add(d03)
-			f0.Add(-e03)
-			f1.Add(d10)
-			f1.Add(-e10)
-			f1.Add(d11)
-			f1.Add(-e11)
-			f1.Add(d12)
-			f1.Add(-e12)
-			f1.Add(d13)
-			f1.Add(-e13)
-			a0.Add(f0.sum)
-			a0.Add(-f0.comp)
-			a1.Add(f1.sum)
-			a1.Add(-f1.comp)
-		}
-		out[base] = a0.Value()
-		if lanes > 1 {
-			out[base+1] = a1.Value()
-		}
-	})
 }
 
 // reducePartials folds per-chunk compensated partials in chunk order with a

@@ -45,9 +45,9 @@ func (o BreakerOptions) normalize() BreakerOptions {
 // WithBreaker wraps s in a circuit breaker: after Failures consecutive
 // transient failures every call fails fast with ErrUnavailable until
 // Cooldown has passed, then a single probe call is admitted — success closes
-// the circuit, failure re-opens it. Wrap it OUTSIDE WithRetry
-// (WithBreaker(WithRetry(backend, …), …)) so one logical operation counts as
-// one breaker verdict after its retries are exhausted.
+// the circuit, failure re-opens it. Wrap it OUTSIDE WithRetryPolicy
+// (WithBreaker(WithRetryPolicy(backend, …), …)) so one logical operation
+// counts as one breaker verdict after its retries are exhausted.
 func WithBreaker(s Store, o BreakerOptions) Store {
 	return &breaker{s: s, o: o.normalize()}
 }

@@ -13,9 +13,9 @@ import (
 // upload bandwidth) and the conditional-write path must see exactly one
 // winner. The loser's request is cancelled, not abandoned.
 //
-// Wrap it INSIDE WithRetry (WithRetry(WithHedge(backend, …), …)) so each
-// retry attempt gets its own hedge, and the hedge never re-runs a request
-// that failed fast.
+// Wrap it INSIDE WithRetryPolicy (WithRetryPolicy(WithHedge(backend, …),
+// …)) so each retry attempt gets its own hedge, and the hedge never re-runs
+// a request that failed fast.
 func WithHedge(s Store, delay time.Duration) Store {
 	if delay <= 0 {
 		delay = 50 * time.Millisecond

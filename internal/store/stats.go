@@ -18,8 +18,8 @@ var (
 
 // Stats is a snapshot of the wrapper counters.
 type Stats struct {
-	// Retries counts backoff retries performed by WithRetry wrappers (the
-	// first attempt of a call is not a retry).
+	// Retries counts backoff retries performed by WithRetryPolicy wrappers
+	// (the first attempt of a call is not a retry).
 	Retries int64
 	// BreakerOpens counts closed→open transitions of WithBreaker wrappers.
 	BreakerOpens int64

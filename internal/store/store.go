@@ -11,9 +11,9 @@
 // atomicity.
 //
 // Every verb takes a context: network backends are cancellable mid-request,
-// and the retry/breaker/hedge wrappers (WithRetry, WithBreaker, WithHedge)
-// stop sleeping the moment the caller gives up. Errors divide into
-// transient (worth retrying) and permanent (retrying cannot help); see
+// and the retry/breaker/hedge wrappers (WithRetryPolicy, WithBreaker,
+// WithHedge) stop sleeping the moment the caller gives up. Errors divide
+// into transient (worth retrying) and permanent (retrying cannot help); see
 // Permanent and IsPermanent. ErrNotFound, name-validation failures, and an
 // open circuit breaker are always permanent.
 package store
@@ -351,22 +351,17 @@ func (p RetryPolicy) normalize() RetryPolicy {
 	return p
 }
 
-// WithRetry wraps s so transient failures are retried with full-jitter
-// exponential backoff: up to attempts tries per call with sleeps drawn from
-// [0, backoff·2^i). Permanent errors (see IsPermanent) — ErrNotFound,
-// name-validation failures, 4xx-class object-store rejections, an open
-// circuit breaker, and context cancellation — short-circuit: they do not
-// change on retry. It is the wrapper to put around flaky network-backed
-// stores; the snapshot layer treats a still-failing call as a miss and
-// recompiles, so retries trade latency for fewer cold compiles, never
-// correctness.
-func WithRetry(s Store, attempts int, backoff time.Duration) Store {
-	return WithRetryPolicy(s, RetryPolicy{Attempts: attempts, Backoff: backoff})
-}
-
-// WithRetryPolicy is WithRetry with the full policy knobs: per-sleep cap and
-// a total attempt-time budget (MaxElapsed) so a call against a dying store
-// has bounded worst-case latency regardless of attempt count.
+// WithRetryPolicy wraps s so transient failures are retried with
+// full-jitter exponential backoff: up to p.Attempts tries per call with
+// sleeps drawn from [0, min(Backoff·2^i, MaxBackoff)), within the total
+// attempt-time budget MaxElapsed so a call against a dying store has
+// bounded worst-case latency regardless of attempt count. Permanent errors
+// (see IsPermanent) — ErrNotFound, name-validation failures, 4xx-class
+// object-store rejections, an open circuit breaker, and context
+// cancellation — short-circuit: they do not change on retry. It is the
+// wrapper to put around flaky network-backed stores; the snapshot layer
+// treats a still-failing call as a miss and recompiles, so retries trade
+// latency for fewer cold compiles, never correctness.
 func WithRetryPolicy(s Store, p RetryPolicy) Store {
 	return &retrying{s: s, p: p.normalize()}
 }

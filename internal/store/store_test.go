@@ -295,7 +295,7 @@ func (c *countingStore) List(ctx context.Context) ([]string, error) {
 
 func TestWithRetryRecoversTransientFailures(t *testing.T) {
 	base := &countingStore{Dir: newTestDir(t), failFirst: 2, calls: map[string]int{}}
-	s := WithRetry(base, 3, time.Millisecond)
+	s := WithRetryPolicy(base, RetryPolicy{Attempts: 3, Backoff: time.Millisecond})
 	before := ReadStats().Retries
 	if err := s.Write(ctx, "k", []byte("v")); err != nil {
 		t.Fatalf("Write through retry = %v", err)
@@ -315,7 +315,7 @@ func TestWithRetryRecoversTransientFailures(t *testing.T) {
 func TestWithRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	// ErrNotFound: a miss does not change on retry.
 	base := &countingStore{Dir: newTestDir(t), failFirst: 0, calls: map[string]int{}}
-	s := WithRetry(base, 5, time.Millisecond)
+	s := WithRetryPolicy(base, RetryPolicy{Attempts: 5, Backoff: time.Millisecond})
 	if _, err := s.Read(ctx, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Read = %v, want ErrNotFound", err)
 	}
@@ -325,7 +325,7 @@ func TestWithRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	// An explicitly permanent failure (the 4xx class) short-circuits too.
 	perm := &countingStore{Dir: newTestDir(t), failFirst: 100,
 		failWith: Permanent(errors.New("403 forbidden")), calls: map[string]int{}}
-	s = WithRetry(perm, 5, time.Millisecond)
+	s = WithRetryPolicy(perm, RetryPolicy{Attempts: 5, Backoff: time.Millisecond})
 	if err := s.Write(ctx, "k", []byte("v")); err == nil || !IsPermanent(err) {
 		t.Fatalf("permanent Write = %v, want a permanent error", err)
 	}
@@ -343,7 +343,7 @@ func TestWithRetryDoesNotRetryPermanentErrors(t *testing.T) {
 
 func TestWithRetryExhaustsAttempts(t *testing.T) {
 	base := &countingStore{Dir: newTestDir(t), failFirst: 100, calls: map[string]int{}}
-	s := WithRetry(base, 3, time.Microsecond)
+	s := WithRetryPolicy(base, RetryPolicy{Attempts: 3, Backoff: time.Microsecond})
 	if err := s.Write(ctx, "k", []byte("v")); err == nil {
 		t.Fatal("Write through exhausted retry succeeded")
 	}

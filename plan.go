@@ -20,12 +20,12 @@ import (
 //   - RR/RRL requests are grouped by horizon class (the certified horizon:
 //     the max of the request's times, rounded up to the compile's geometric
 //     grid when horizon bucketing is on — see horizon.go), and each group's
-//     distinct
-//     reward vectors are executed as dot lanes of ONE multi-lane stepping
-//     pass — regen.Basis.BuildMany on non-retaining compiled models (every
-//     lane rides one traversal of the DTMC per step), the grouped
-//     multi-rewards replay regen.Basis.PrebindMany on retaining ones (the
-//     retained vectors are streamed once per block for all lanes).
+//     distinct reward vectors are executed as dot lanes of ONE multi-lane
+//     stepping pass — regen.Basis.BuildManyCtx on non-retaining compiled
+//     models (every lane rides one traversal of the DTMC per step), the
+//     grouped multi-rewards replay regen.Basis.PrebindManyCtx on retaining
+//     ones (the retained vectors are streamed once per block for all
+//     lanes).
 //
 // Planning is purely a throughput optimization: the grouped constructions
 // are bitwise-identical to their per-query counterparts (tested), the

@@ -24,18 +24,17 @@ import (
 func (cm *CompiledModel) Snapshot() ([]byte, error) {
 	s := &snapshot.Snapshot{
 		Meta: snapshot.Meta{
-			Key:                   cm.key,
-			RegenState:            cm.copts.RegenState,
-			Epsilon:               cm.opts.Epsilon,
-			UniformizationFactor:  cm.opts.UniformizationFactor,
-			DisableRetention:      cm.copts.DisableRetention,
-			CompactRetention:      cm.copts.CompactRetention,
-			TFactor:               cm.copts.RRL.TFactor,
-			DisableAcceleration:   cm.copts.RRL.DisableAcceleration,
-			DisableTailTruncation: cm.copts.RRL.DisableTailTruncation,
-			HorizonBuckets:        cm.copts.HorizonBuckets,
-			Inverter:              cm.copts.RRL.Inverter,
-			States:                cm.model.N(),
+			Key:                  cm.key,
+			RegenState:           cm.copts.RegenState,
+			Epsilon:              cm.opts.Epsilon,
+			UniformizationFactor: cm.opts.UniformizationFactor,
+			DisableRetention:     cm.copts.DisableRetention,
+			CompactRetention:     cm.copts.CompactRetention,
+			TFactor:              cm.copts.RRL.TFactor,
+			DisableAcceleration:  cm.copts.RRL.DisableAcceleration,
+			HorizonBuckets:       cm.copts.HorizonBuckets,
+			Inverter:             cm.copts.RRL.Inverter,
+			States:               cm.model.N(),
 		},
 		Model: cm.model,
 	}
@@ -73,10 +72,9 @@ func LoadSnapshotCtx(ctx context.Context, data []byte) (*CompiledModel, error) {
 		DisableRetention: s.Meta.DisableRetention,
 		CompactRetention: s.Meta.CompactRetention,
 		RRL: RRLConfig{
-			TFactor:               s.Meta.TFactor,
-			DisableAcceleration:   s.Meta.DisableAcceleration,
-			DisableTailTruncation: s.Meta.DisableTailTruncation,
-			Inverter:              s.Meta.Inverter,
+			TFactor:             s.Meta.TFactor,
+			DisableAcceleration: s.Meta.DisableAcceleration,
+			Inverter:            s.Meta.Inverter,
 		},
 		HorizonBuckets: s.Meta.HorizonBuckets,
 	}

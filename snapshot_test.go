@@ -70,33 +70,33 @@ func snapshotScenarios(t *testing.T) []snapshotScenario {
 	scs := []snapshotScenario{
 		{
 			name: "fig3_G20_retain", model: avail.Chain, rewards: avail.UnavailabilityRewards(),
-			copts:   regenrand.CompileOptions{Options: opts, RegenState: avail.Pristine},
-			ts:      []float64{1, 10, 100}, extendT: 1000,
+			copts: regenrand.CompileOptions{Options: opts, RegenState: avail.Pristine},
+			ts:    []float64{1, 10, 100}, extendT: 1000,
 		},
 		{
 			name: "fig3_G20_noretain", model: avail.Chain, rewards: avail.UnavailabilityRewards(),
-			copts:   regenrand.CompileOptions{Options: opts, RegenState: avail.Pristine, DisableRetention: true},
-			ts:      []float64{1, 10, 100}, extendT: 1000,
+			copts: regenrand.CompileOptions{Options: opts, RegenState: avail.Pristine, DisableRetention: true},
+			ts:    []float64{1, 10, 100}, extendT: 1000,
 		},
 		{
 			name: "fig3_G20_compact", model: avail.Chain, rewards: avail.UnavailabilityRewards(),
-			copts:   regenrand.CompileOptions{Options: compactOpts, RegenState: avail.Pristine, CompactRetention: true},
-			ts:      []float64{1, 10, 100}, extendT: 1000,
+			copts: regenrand.CompileOptions{Options: compactOpts, RegenState: avail.Pristine, CompactRetention: true},
+			ts:    []float64{1, 10, 100}, extendT: 1000,
 		},
 		{
 			name: "fig3_G20_buckets", model: avail.Chain, rewards: avail.UnavailabilityRewards(),
-			copts:   regenrand.CompileOptions{Options: opts, RegenState: avail.Pristine, HorizonBuckets: 4},
-			ts:      []float64{1, 10, 100}, extendT: 1000,
+			copts: regenrand.CompileOptions{Options: opts, RegenState: avail.Pristine, HorizonBuckets: 4},
+			ts:    []float64{1, 10, 100}, extendT: 1000,
 		},
 		{
 			name: "fig4_G20_retain", model: rely.Chain, rewards: rely.UnreliabilityRewards(),
-			copts:   regenrand.CompileOptions{Options: opts, RegenState: rely.Pristine},
-			ts:      []float64{1, 10, 100}, extendT: 1000,
+			copts: regenrand.CompileOptions{Options: opts, RegenState: rely.Pristine},
+			ts:    []float64{1, 10, 100}, extendT: 1000,
 		},
 		{
 			name: "fig4_G20_buckets", model: rely.Chain, rewards: rely.UnreliabilityRewards(),
-			copts:   regenrand.CompileOptions{Options: opts, RegenState: rely.Pristine, HorizonBuckets: 4},
-			ts:      []float64{1, 10, 100}, extendT: 1000,
+			copts: regenrand.CompileOptions{Options: opts, RegenState: rely.Pristine, HorizonBuckets: 4},
+			ts:    []float64{1, 10, 100}, extendT: 1000,
 		},
 	}
 	// The 10⁴-state scenarios dominate the suite's runtime (slab-heavy
@@ -105,13 +105,13 @@ func snapshotScenarios(t *testing.T) []snapshotScenario {
 		scs = append(scs,
 			snapshotScenario{
 				name: "band1e4_retain", model: band, rewards: bandRewards,
-				copts:   regenrand.CompileOptions{Options: opts, RegenState: 0},
-				ts:      []float64{1, 5}, extendT: 8,
+				copts: regenrand.CompileOptions{Options: opts, RegenState: 0},
+				ts:    []float64{1, 5}, extendT: 8,
 			},
 			snapshotScenario{
 				name: "band1e4_compact", model: band, rewards: bandRewards,
-				copts:   regenrand.CompileOptions{Options: compactOpts, RegenState: 0, CompactRetention: true},
-				ts:      []float64{1, 5}, extendT: 8,
+				copts: regenrand.CompileOptions{Options: compactOpts, RegenState: 0, CompactRetention: true},
+				ts:    []float64{1, 5}, extendT: 8,
 			})
 	}
 	// -short (the CI race job) also stops the G=20 horizons early: the
