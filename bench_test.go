@@ -265,31 +265,6 @@ func BenchmarkAblationAcceleration(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionAU measures adaptive uniformization (the §1
-// related-work method) against the mission times where it shines, with its
-// step count as a metric (compare the SR rows of BenchmarkFig4UR).
-func BenchmarkExtensionAU(b *testing.B) {
-	m := raidModel(b, 20, true)
-	rewards := m.UnreliabilityRewards()
-	for _, t := range []float64{0.1, 1, 10, 100} {
-		b.Run(fmt.Sprintf("t=%g", t), func(b *testing.B) {
-			var steps int
-			for i := 0; i < b.N; i++ {
-				s, err := regenrand.NewAU(m.Chain, rewards, regenrand.DefaultOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.TRR([]float64{t})
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps = res[0].Steps
-			}
-			b.ReportMetric(float64(steps), "steps")
-		})
-	}
-}
-
 // rrlBatchTimes is the 16-point sweep of the RRL batch benchmarks.
 var rrlBatchTimes = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 1e4, 2e4, 5e4, 1e5}
 

@@ -272,7 +272,7 @@ func TestPreCancelledEntryPoints(t *testing.T) {
 	if len(bout) != 1 || !errors.Is(bout[0].Err, context.Canceled) {
 		t.Errorf("QueryBoundsBatchCtx: %+v does not report cancellation", bout)
 	}
-	for _, method := range []regenrand.Method{regenrand.MethodSR, regenrand.MethodRSD, regenrand.MethodAU} {
+	for _, method := range []regenrand.Method{regenrand.MethodSR, regenrand.MethodRSD} {
 		q := regenrand.Query{Method: method, Rewards: ua, Times: []float64{10}}
 		if _, err := cm.QueryCtx(ctx, q); !errors.Is(err, context.Canceled) {
 			t.Errorf("QueryCtx %s: %v does not wrap context.Canceled", method, err)

@@ -1,7 +1,7 @@
 // Command mctrans solves transient dependability/performability measures of
-// an arbitrary CTMC stored in the mcio text format, with any of the six
-// implemented methods. It can also export the built-in RAID benchmark model
-// so external tools (or curious users) can inspect it.
+// an arbitrary CTMC stored in the mcio text format, with any of the four
+// implemented methods (sr, rsd, rr, rrl). It can also export the built-in
+// RAID benchmark model so external tools (or curious users) can inspect it.
 //
 // Examples:
 //
@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		modelPath  = flag.String("model", "", "path to a model in mcio format")
-		method     = flag.String("method", "rrl", "sr|rsd|rr|rrl|au|ms")
+		method     = flag.String("method", "rrl", "sr|rsd|rr|rrl")
 		measure    = flag.String("measure", "trr", "trr|mrr")
 		tlist      = flag.String("t", "1,10,100", "comma-separated times")
 		eps        = flag.Float64("eps", 1e-12, "error bound ε")
@@ -80,10 +80,6 @@ func main() {
 		solver, err = regenrand.NewRR(model, rewards, *regenState, opts)
 	case "rrl":
 		solver, err = regenrand.NewRRL(model, rewards, *regenState, opts)
-	case "au":
-		solver, err = regenrand.NewAU(model, rewards, opts)
-	case "ms":
-		solver, err = regenrand.NewMultistep(model, rewards, 0, opts)
 	default:
 		err = fmt.Errorf("unknown method %q", *method)
 	}

@@ -7,6 +7,9 @@
 //	Fig. 4  — CPU times of RRL, RR, SR for UR(t)
 //	headline — UR(1e5), abscissa counts, Laplace share of RRL time
 //	ablation — T = κt sweep (κ ∈ {1,2,4,8,16}) and epsilon-acceleration on/off
+//	bounds   — certified RRL enclosures of UA(t), G = 20
+//	regenchoice — truncation level K for different regenerative states
+//	render   — text plots of Figs. 3 and 4 from the fig3/fig4 CSV files
 //
 // Step counts are exact reproductions (hardware-independent); CPU times are
 // measured on the host and compared to the paper in shape (crossovers),
@@ -25,19 +28,17 @@ import (
 	"strings"
 	"time"
 
-	"regenrand/internal/adaptive"
+	"regenrand"
 	"regenrand/internal/asciiplot"
 	"regenrand/internal/core"
-	"regenrand/internal/multistep"
 	"regenrand/internal/raid"
 	"regenrand/internal/regen"
-	"regenrand/internal/rrl"
 	"regenrand/internal/ssd"
 	"regenrand/internal/uniform"
 )
 
 var (
-	flagExperiment = flag.String("experiment", "all", "table1|fig3|table2|fig4|headline|ablation|adaptive|bounds|all")
+	flagExperiment = flag.String("experiment", "all", "table1|fig3|table2|fig4|headline|ablation|bounds|regenchoice|render|all")
 	flagFull       = flag.Bool("full", false, "run the complete t sweep for SR and RR (minutes)")
 	flagOut        = flag.String("out", "results", "directory for CSV output")
 	flagEps        = flag.Float64("eps", 1e-12, "error bound ε")
@@ -75,9 +76,7 @@ func main() {
 	run("fig4", fig4)
 	run("headline", headline)
 	run("ablation", ablation)
-	run("adaptive", adaptiveExt)
 	run("bounds", boundsExt)
-	run("multistep", multistepExt)
 	run("regenchoice", regenChoiceExt)
 	run("render", renderFigures)
 }
@@ -183,6 +182,9 @@ func fig4() error {
 
 // cpuTimes measures wall-clock solution time per (G, method, t) with a
 // fresh solver per point, mirroring the per-t runs behind Figures 3 and 4.
+// Each solver is constructed (and its model uniformized) before the clock
+// starts, so the time covers the solve — series construction included for
+// RR and RRL.
 func cpuTimes(file string, absorbing bool, methods []string) error {
 	limited := map[string]bool{"SR": true, "RR": true}
 	capT := 1000.0
@@ -226,16 +228,16 @@ func cpuTimes(file string, absorbing bool, methods []string) error {
 	return writeCSV(file, csv.String())
 }
 
-func newSolver(method string, m *raid.Model, rewards []float64) (core.Solver, error) {
+func newSolver(method string, m *raid.Model, rewards []float64) (regenrand.Solver, error) {
 	switch method {
 	case "SR":
-		return uniform.New(m.Chain, rewards, opts())
+		return regenrand.NewSR(m.Chain, rewards, opts())
 	case "RSD":
-		return ssd.New(m.Chain, rewards, opts())
+		return regenrand.NewRSD(m.Chain, rewards, opts())
 	case "RR":
-		return regen.New(m.Chain, rewards, m.Pristine, opts())
+		return regenrand.NewRR(m.Chain, rewards, m.Pristine, opts())
 	case "RRL":
-		return rrl.New(m.Chain, rewards, m.Pristine, opts())
+		return regenrand.NewRRL(m.Chain, rewards, m.Pristine, opts())
 	}
 	return nil, fmt.Errorf("unknown method %q", method)
 }
@@ -249,7 +251,7 @@ func headline() error {
 		if err != nil {
 			return err
 		}
-		s, err := rrl.New(m.Chain, m.UnreliabilityRewards(), m.Pristine, opts())
+		s, err := regenrand.NewRRL(m.Chain, m.UnreliabilityRewards(), m.Pristine, opts())
 		if err != nil {
 			return err
 		}
@@ -301,8 +303,8 @@ func ablation() error {
 	fmt.Printf("%-7s %-7s %14s %12s %10s %10s\n", "kappa", "accel", "UR(1000)", "err vs SR", "abscissae", "seconds")
 	for _, kappa := range []float64{1, 2, 4, 8, 16} {
 		for _, accel := range []bool{true, false} {
-			s, err := rrl.NewWithConfig(m.Chain, rewards, m.Pristine, opts(),
-				rrl.Config{TFactor: kappa, DisableAcceleration: !accel})
+			s, err := regenrand.NewRRLWithConfig(m.Chain, rewards, m.Pristine, opts(),
+				regenrand.RRLConfig{TFactor: kappa, DisableAcceleration: !accel})
 			if err != nil {
 				return err
 			}
@@ -322,42 +324,6 @@ func ablation() error {
 	return writeCSV("ablation.csv", csv.String())
 }
 
-// adaptiveExt is an extension experiment beyond the paper: the step counts
-// of adaptive uniformization (the related-work method of §1) against SR for
-// the UR measure at small and medium mission times, where the RAID model's
-// rates ramp from Λ₀ ≈ 10⁻³ (fault-free) to Λ ≈ 24.
-func adaptiveExt() error {
-	m, err := raid.Build(raid.DefaultParams(20), true)
-	if err != nil {
-		return err
-	}
-	rewards := m.UnreliabilityRewards()
-	au, err := adaptive.New(m.Chain, rewards, opts())
-	if err != nil {
-		return err
-	}
-	sr, err := uniform.New(m.Chain, rewards, opts())
-	if err != nil {
-		return err
-	}
-	var csv strings.Builder
-	csv.WriteString("t,AU_steps,SR_steps,AU_value,SR_value\n")
-	fmt.Printf("%-10s %10s %10s %22s %22s\n", "t(h)", "AU steps", "SR steps", "AU UR(t)", "SR UR(t)")
-	for _, t := range []float64{0.1, 1, 10, 100, 1000} {
-		a, err := au.TRR([]float64{t})
-		if err != nil {
-			return err
-		}
-		b, err := sr.TRR([]float64{t})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-10g %10d %10d %22.15e %22.15e\n", t, a[0].Steps, b[0].Steps, a[0].Value, b[0].Value)
-		fmt.Fprintf(&csv, "%g,%d,%d,%e,%e\n", t, a[0].Steps, b[0].Steps, a[0].Value, b[0].Value)
-	}
-	return writeCSV("adaptive.csv", csv.String())
-}
-
 // boundsExt demonstrates the certified two-sided bounds of the companion
 // report: RRL enclosures of UA(t) on the G=20 model.
 func boundsExt() error {
@@ -365,11 +331,11 @@ func boundsExt() error {
 	if err != nil {
 		return err
 	}
-	s, err := rrl.New(m.Chain, m.UnavailabilityRewards(), m.Pristine, opts())
+	s, err := regenrand.NewRRL(m.Chain, m.UnavailabilityRewards(), m.Pristine, opts())
 	if err != nil {
 		return err
 	}
-	bounds, err := s.TRRBounds(sweep)
+	bounds, err := s.(regenrand.BoundingSolver).TRRBounds(sweep)
 	if err != nil {
 		return err
 	}
@@ -381,52 +347,6 @@ func boundsExt() error {
 		fmt.Fprintf(&csv, "%g,%e,%e,%e\n", b.T, b.Lower, b.Upper, b.Upper-b.Lower)
 	}
 	return writeCSV("bounds.csv", csv.String())
-}
-
-// multistepExt is an extension experiment beyond the paper: multistep
-// randomization (Reibman & Trivedi, §1 related work) against SR on the
-// G=20 unreliability model. The method introduces dense fill-in (n² block
-// matrix) for a modest constant-factor win at large t — the reason the
-// paper dismisses it.
-func multistepExt() error {
-	m, err := raid.Build(raid.DefaultParams(20), true)
-	if err != nil {
-		return err
-	}
-	rewards := m.UnreliabilityRewards()
-	times := []float64{100, 1000}
-	if *flagFull {
-		times = append(times, 1e4, 1e5)
-	}
-	var csv strings.Builder
-	csv.WriteString("t,MS_seconds,SR_seconds,diff\n")
-	fmt.Printf("%-10s %12s %12s %14s\n", "t(h)", "MS (s)", "SR (s)", "|MS-SR|")
-	for _, t := range times {
-		ms, err := multistep.New(m.Chain, rewards, 0, opts())
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		a, err := ms.TRR([]float64{t})
-		if err != nil {
-			return err
-		}
-		msSec := time.Since(start).Seconds()
-		sr, err := uniform.New(m.Chain, rewards, opts())
-		if err != nil {
-			return err
-		}
-		start = time.Now()
-		b, err := sr.TRR([]float64{t})
-		if err != nil {
-			return err
-		}
-		srSec := time.Since(start).Seconds()
-		diff := a[0].Value - b[0].Value
-		fmt.Printf("%-10g %12.3f %12.3f %14.2e\n", t, msSec, srSec, diff)
-		fmt.Fprintf(&csv, "%g,%f,%f,%e\n", t, msSec, srSec, diff)
-	}
-	return writeCSV("multistep.csv", csv.String())
 }
 
 // regenChoiceExt quantifies the paper's §2 remark that regenerative

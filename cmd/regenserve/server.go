@@ -75,11 +75,10 @@ type compileResponse struct {
 }
 
 type queryJSON struct {
-	Method     string    `json:"method,omitempty"`
-	Measure    string    `json:"measure,omitempty"`
-	Rewards    []float64 `json:"rewards"`
-	Times      []float64 `json:"times"`
-	BlockSteps int       `json:"block_steps,omitempty"`
+	Method  string    `json:"method,omitempty"`
+	Measure string    `json:"measure,omitempty"`
+	Rewards []float64 `json:"rewards"`
+	Times   []float64 `json:"times"`
 	// Bounds requests certified two-sided enclosures instead of point
 	// values (RR/RRL only). RRL enclosures are served by the fused
 	// value+truncation-mass inversion, so they cost barely more than the
@@ -91,6 +90,38 @@ type queryJSON struct {
 	// per-row error). Queries with different backends are never grouped into
 	// one lane pass. The serving row discloses the effective backend.
 	Inverter string `json:"inverter,omitempty"`
+}
+
+// query converts the wire row into the engine request; the batch path and
+// the degraded retry both go through it.
+func (q queryJSON) query() regenrand.Query {
+	return regenrand.Query{
+		Method:   regenrand.Method(q.Method),
+		Measure:  regenrand.MeasureKind(q.Measure),
+		Rewards:  q.Rewards,
+		Times:    q.Times,
+		Inverter: q.Inverter,
+	}
+}
+
+// valueRows encodes point values as wire rows.
+func valueRows(res []regenrand.Result) []resultJSON {
+	rs := make([]resultJSON, len(res))
+	for j, v := range res {
+		rs[j] = resultJSON{T: v.T, Value: v.Value, Steps: v.Steps, Abscissae: v.Abscissae}
+	}
+	return rs
+}
+
+// boundsRows encodes certified enclosures as wire rows whose value is the
+// midpoint.
+func boundsRows(bs []regenrand.Bounds) []resultJSON {
+	rs := make([]resultJSON, len(bs))
+	for j, b := range bs {
+		lo, hi := b.Lower, b.Upper
+		rs[j] = resultJSON{T: b.T, Value: (lo + hi) / 2, Lower: &lo, Upper: &hi}
+	}
+	return rs
 }
 
 type queryRequest struct {
@@ -513,16 +544,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			valIdx = append(valIdx, i)
 		}
 	}
-	toQuery := func(q queryJSON) regenrand.Query {
-		return regenrand.Query{
-			Method:     regenrand.Method(q.Method),
-			Measure:    regenrand.MeasureKind(q.Measure),
-			Rewards:    q.Rewards,
-			Times:      q.Times,
-			BlockSteps: q.BlockSteps,
-			Inverter:   q.Inverter,
-		}
-	}
 	resp := queryResponse{ModelID: cm.Key(), Results: make([]queryResultJSON, len(req.Queries))}
 	var wg sync.WaitGroup
 	if len(valIdx) > 0 {
@@ -531,7 +552,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			qs := make([]regenrand.Query, len(valIdx))
 			for i, idx := range valIdx {
-				qs[i] = toQuery(req.Queries[idx])
+				qs[i] = req.Queries[idx].query()
 			}
 			for i, qr := range cm.QueryBatchCtx(ctx, qs) {
 				idx := valIdx[i]
@@ -539,11 +560,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					resp.Results[idx].Error = qr.Err.Error()
 					continue
 				}
-				rs := make([]resultJSON, len(qr.Results))
-				for j, res := range qr.Results {
-					rs[j] = resultJSON{T: res.T, Value: res.Value, Steps: res.Steps, Abscissae: res.Abscissae}
-				}
-				resp.Results[idx].Results = rs
+				resp.Results[idx].Results = valueRows(qr.Results)
 			}
 		}()
 	}
@@ -553,7 +570,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			qs := make([]regenrand.Query, len(bndIdx))
 			for i, idx := range bndIdx {
-				qs[i] = toQuery(req.Queries[idx])
+				qs[i] = req.Queries[idx].query()
 			}
 			for i, br := range cm.QueryBoundsBatchCtx(ctx, qs) {
 				idx := bndIdx[i]
@@ -561,12 +578,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					resp.Results[idx].Error = br.Err.Error()
 					continue
 				}
-				rs := make([]resultJSON, len(br.Bounds))
-				for j, b := range br.Bounds {
-					lo, hi := b.Lower, b.Upper
-					rs[j] = resultJSON{T: b.T, Value: (lo + hi) / 2, Lower: &lo, Upper: &hi}
-				}
-				resp.Results[idx].Results = rs
+				resp.Results[idx].Results = boundsRows(br.Bounds)
 			}
 		}()
 	}
@@ -671,36 +683,22 @@ func (s *server) degradeRows(r *http.Request, cm *regenrand.CompiledModel, req q
 		if resp.Results[i].Error == "" || gctx.Err() != nil {
 			continue
 		}
-		q := regenrand.Query{
-			Method:     regenrand.Method(req.Queries[i].Method),
-			Measure:    regenrand.MeasureKind(req.Queries[i].Measure),
-			Rewards:    req.Queries[i].Rewards,
-			Times:      req.Queries[i].Times,
-			BlockSteps: req.Queries[i].BlockSteps,
-			Inverter:   req.Queries[i].Inverter,
-		}
+		q := req.Queries[i].query()
+		var rs []resultJSON
 		if req.Queries[i].Bounds {
 			bs, err := dcm.QueryBoundsCtx(gctx, q)
 			if err != nil {
 				continue
 			}
-			rs := make([]resultJSON, len(bs))
-			for j, b := range bs {
-				lo, hi := b.Lower, b.Upper
-				rs[j] = resultJSON{T: b.T, Value: (lo + hi) / 2, Lower: &lo, Upper: &hi}
-			}
-			resp.Results[i] = queryResultJSON{Results: rs, Degraded: true, Epsilon: degEps}
+			rs = boundsRows(bs)
 		} else {
 			res, err := dcm.QueryCtx(gctx, q)
 			if err != nil {
 				continue
 			}
-			rs := make([]resultJSON, len(res))
-			for j, v := range res {
-				rs[j] = resultJSON{T: v.T, Value: v.Value, Steps: v.Steps, Abscissae: v.Abscissae}
-			}
-			resp.Results[i] = queryResultJSON{Results: rs, Degraded: true, Epsilon: degEps}
+			rs = valueRows(res)
 		}
+		resp.Results[i] = queryResultJSON{Results: rs, Degraded: true, Epsilon: degEps}
 		s.degraded.Add(1)
 	}
 }

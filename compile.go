@@ -11,12 +11,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"regenrand/internal/adaptive"
 	"regenrand/internal/cache"
 	"regenrand/internal/core"
 	"regenrand/internal/ctmc"
 	"regenrand/internal/laplace"
-	"regenrand/internal/multistep"
 	"regenrand/internal/regen"
 	"regenrand/internal/rrl"
 	"regenrand/internal/sparse"
@@ -25,7 +23,7 @@ import (
 )
 
 // NoRegen marks a compile without regenerative structure: the compiled
-// model then serves the SR/RSD/AU/MS methods but not RR/RRL.
+// model then serves the SR and RSD methods but not RR/RRL.
 const NoRegen = -1
 
 // CompileOptions configures the compile phase.
@@ -94,12 +92,12 @@ type CompileOptions struct {
 }
 
 // CompiledModel is the immutable, goroutine-safe artifact of the compile
-// phase: the uniformized sparse chain with its fused-kernel chunk plan, the
-// AU adjacency, and — when a regenerative state was given — the reward-free
-// regeneration series with retained step vectors. Reward-dependent layers
-// are added as cheap CompiledMeasure views, so one compile serves TRR, MRR,
-// availability and reliability measures under many reward vectors; see
-// Query and QueryBatch for the evaluation engine.
+// phase: the uniformized sparse chain with its fused-kernel chunk plan and —
+// when a regenerative state was given — the reward-free regeneration series
+// with retained step vectors. Reward-dependent layers are added as cheap
+// CompiledMeasure views, so one compile serves TRR, MRR, availability and
+// reliability measures under many reward vectors; see Query and QueryBatch
+// for the evaluation engine.
 //
 // All methods are safe for concurrent use, and query results are a pure
 // function of the request (never of the order requests arrive in), so
@@ -112,9 +110,6 @@ type CompiledModel struct {
 
 	dtmc  *ctmc.DTMC
 	basis *regen.Basis // nil when compiled with NoRegen
-
-	adjOnce sync.Once
-	adj     [][]int32 // AU adjacency, built on first AU query
 
 	measures *cache.LRU[string, *CompiledMeasure]
 }
@@ -308,12 +303,6 @@ func (cm *CompiledModel) RetainedBytes() int64 {
 	return base + cm.basis.RetainedBytes()
 }
 
-// adjacency returns the shared AU adjacency, built on first use.
-func (cm *CompiledModel) adjacency() [][]int32 {
-	cm.adjOnce.Do(func() { cm.adj = adaptive.Adjacency(cm.model) })
-	return cm.adj
-}
-
 // Measure returns the compiled view of one reward vector, creating and
 // caching it on first use. Views are cheap: the expensive shared artifacts
 // live on the CompiledModel; the view holds the reward binding and the
@@ -359,22 +348,26 @@ func rewardsKey(rewards []float64) string {
 	return string(h.Sum(nil))
 }
 
+// newMeasure builds the view of one reward vector. The view keeps a single
+// private copy of the rewards: the binding's when the model has a basis
+// (Bind copies), its own otherwise.
 func (cm *CompiledModel) newMeasure(rewards []float64) (*CompiledMeasure, error) {
-	r := make([]float64, len(rewards))
-	copy(r, rewards)
 	m := &CompiledMeasure{
 		cm:      cm,
-		rewards: r,
 		series:  cache.New[uint64, *regen.Series](16),
 		rrEvals: cache.New[klKey, *regen.VEvaluator](8),
 		rrlEvs:  cache.New[klKey, *rrl.Evaluator](8),
 	}
 	if cm.basis != nil {
-		bind, err := cm.basis.Bind(r)
+		bind, err := cm.basis.Bind(rewards)
 		if err != nil {
 			return nil, err
 		}
 		m.binding = bind
+		m.rewards = bind.Rewards()
+	} else {
+		m.rewards = make([]float64, len(rewards))
+		copy(m.rewards, rewards)
 	}
 	return m, nil
 }
@@ -410,41 +403,23 @@ type CompiledMeasure struct {
 	sr    *uniform.Solver
 	rsdMu sync.Mutex
 	rsd   *ssd.Solver
-	auMu  sync.Mutex
-	au    *adaptive.Solver
 }
 
 // Rewards returns the bound reward vector (shared; do not modify).
 func (m *CompiledMeasure) Rewards() []float64 { return m.rewards }
-
-// seriesSource exposes the measure's binding as the SeriesSource the
-// wrapper solvers consume (nil when compiled with NoRegen — returned as an
-// untyped nil so callers can test it).
-func (m *CompiledMeasure) seriesSource() regen.SeriesSource {
-	if m.binding == nil {
-		return nil
-	}
-	return m.binding
-}
 
 // rho0 is π(0)·r̄, the t = 0 shortcut.
 func (m *CompiledMeasure) rho0() float64 {
 	return sparse.Dot(m.cm.model.Initial(), m.rewards)
 }
 
-// seriesFor returns the series certified for the horizon, cached per
+// seriesForCtx returns the series certified for the horizon, cached per
 // distinct horizon. Results are a pure function of the horizon, so queries
-// stay order-independent.
-func (m *CompiledMeasure) seriesFor(horizon float64) (*regen.Series, error) {
-	return m.seriesForCtx(context.Background(), horizon)
-}
-
-// seriesForCtx is seriesFor under a context. The single-flight construction
-// runs under a detached context that is cancelled only when every waiter has
-// abandoned it, so one impatient query cannot poison the series for others;
-// a cancelled construction leaves the append-only chain store holding a
-// valid prefix, and the retry extends from there to a bitwise-identical
-// series.
+// stay order-independent. The single-flight construction runs under a
+// detached context that is cancelled only when every waiter has abandoned
+// it, so one impatient query cannot poison the series for others; a
+// cancelled construction leaves the append-only chain store holding a valid
+// prefix, and the retry extends from there to a bitwise-identical series.
 func (m *CompiledMeasure) seriesForCtx(ctx context.Context, horizon float64) (*regen.Series, error) {
 	if m.binding == nil {
 		return nil, fmt.Errorf("regenrand: model was compiled without a regenerative state; RR/RRL queries need CompileOptions.RegenState")
@@ -492,7 +467,7 @@ func (m *CompiledMeasure) rrEvaluator(s *regen.Series) (*regen.VEvaluator, error
 // m.srMu while creating and using it (uniform.Solver is a single-caller
 // object whose cached reward sequence is deterministic, so serialized
 // access keeps results order-independent).
-func (m *CompiledMeasure) srSolver() (*uniform.Solver, error) {
+func (m *CompiledMeasure) srSolver() (core.Solver, error) {
 	if m.sr == nil {
 		s, err := uniform.NewFromDTMC(m.cm.model, m.cm.dtmc, m.rewards, m.cm.opts)
 		if err != nil {
@@ -503,7 +478,8 @@ func (m *CompiledMeasure) srSolver() (*uniform.Solver, error) {
 	return m.sr, nil
 }
 
-func (m *CompiledMeasure) rsdSolver() (*ssd.Solver, error) {
+// rsdSolver is srSolver for RSD; callers hold m.rsdMu.
+func (m *CompiledMeasure) rsdSolver() (core.Solver, error) {
 	if m.rsd == nil {
 		s, err := ssd.NewFromDTMC(m.cm.model, m.cm.dtmc, m.rewards, m.cm.opts)
 		if err != nil {
@@ -512,17 +488,6 @@ func (m *CompiledMeasure) rsdSolver() (*ssd.Solver, error) {
 		m.rsd = s
 	}
 	return m.rsd, nil
-}
-
-func (m *CompiledMeasure) auSolver() (*adaptive.Solver, error) {
-	if m.au == nil {
-		s, err := adaptive.NewShared(m.cm.model, m.rewards, m.cm.opts, m.cm.adjacency())
-		if err != nil {
-			return nil, err
-		}
-		m.au = s
-	}
-	return m.au, nil
 }
 
 // CompileCache is an LRU of compiled models keyed by content: repeated
@@ -608,10 +573,3 @@ func (c *CompileCache) Len() int { return c.lru.Len() }
 // Stats reports the cached model count and their combined retained bytes
 // (sizes re-read at call time; see CompiledModel.RetainedBytes).
 func (c *CompileCache) Stats() (entries int, bytes int64) { return c.lru.Stats() }
-
-// MS-specific note: multistep solvers cache their dense block keyed by call
-// history, so the engine evaluates each MS query on a fresh solver (sharing
-// only the DTMC); see msSolver in query.go.
-func (m *CompiledMeasure) msSolver(blockSteps int) (*multistep.Solver, error) {
-	return multistep.NewFromDTMC(m.cm.model, m.cm.dtmc, m.rewards, blockSteps, m.cm.opts)
-}

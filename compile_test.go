@@ -8,7 +8,7 @@ import (
 )
 
 // raidTestModel builds a small RAID availability model (irreducible, so all
-// six methods apply) with its UA rewards.
+// four methods apply) with its UA rewards.
 func raidTestModel(t *testing.T, g int) (*regenrand.CTMC, []float64) {
 	t.Helper()
 	rm, err := regenrand.BuildRAID(regenrand.DefaultRAIDParams(g), false)
@@ -64,10 +64,6 @@ func TestCompiledQueryMatchesClassicSolvers(t *testing.T) {
 			s, err = regenrand.NewSR(model, rewards, opts)
 		case regenrand.MethodRSD:
 			s, err = regenrand.NewRSD(model, rewards, opts)
-		case regenrand.MethodAU:
-			s, err = regenrand.NewAU(model, rewards, opts)
-		case regenrand.MethodMS:
-			s, err = regenrand.NewMultistep(model, rewards, 0, opts)
 		case regenrand.MethodRR:
 			s, err = regenrand.NewRR(model, rewards, 0, opts)
 		case regenrand.MethodRRL:
@@ -81,13 +77,9 @@ func TestCompiledQueryMatchesClassicSolvers(t *testing.T) {
 
 	for _, rewards := range [][]float64{ua, perf} {
 		for _, method := range []regenrand.Method{
-			regenrand.MethodSR, regenrand.MethodRSD, regenrand.MethodAU,
-			regenrand.MethodMS, regenrand.MethodRR, regenrand.MethodRRL,
+			regenrand.MethodSR, regenrand.MethodRSD, regenrand.MethodRR, regenrand.MethodRRL,
 		} {
 			for _, measure := range []regenrand.MeasureKind{regenrand.MeasureTRR, regenrand.MeasureMRR} {
-				if method == regenrand.MethodMS && measure == regenrand.MeasureMRR {
-					continue // MS is TRR-only by construction
-				}
 				s := classic(method, rewards)
 				var want []regenrand.Result
 				var err error

@@ -6,7 +6,8 @@
 //	Models by Regenerative Randomization with Laplace Transform Inversion",
 //	IPDPS 2000 Workshops, LNCS 1800, pp. 1226–1235.
 //
-// Six methods are implemented behind a common Solver interface:
+// The four methods of the paper's evaluation are implemented behind a
+// common Solver interface:
 //
 //   - SR  — standard randomization (uniformization), the classical baseline;
 //   - RSD — randomization with steady-state detection, for irreducible models;
@@ -15,10 +16,12 @@
 //   - RRL — the paper's contribution: the transformed chain is solved in
 //     closed form in the Laplace domain and inverted numerically through a
 //     pluggable backend (Durbin's formula with T = 8t and epsilon-algorithm
-//     acceleration by default; see "Inversion backends and error budgets");
-//   - AU  — adaptive uniformization (van Moorsel & Sanders) and
-//   - MS  — multistep randomization (Reibman & Trivedi), the related-work
-//     methods the paper's introduction positions RR/RRL against.
+//     acceleration by default; see "Inversion backends and error budgets").
+//
+// The related-work methods the paper's introduction cites (adaptive
+// uniformization, multistep randomization) are not implemented; the
+// independent check of RRL is the dense matrix-exponential oracle
+// (OracleTRR), which shares no code with the solvers.
 //
 // Two measures are supported at batches of time points: the transient
 // reward rate TRR(t) = E[r_{X(t)}] and the mean reward rate
@@ -91,9 +94,10 @@
 // content hash so repeated compiles are free).
 //
 // On the paper's G=20 RAID model, a second query against an already
-// compiled model is ~20× faster than the classic construct-and-solve path
-// for a new time batch and ~7× faster for a new rewards vector (see
-// "Performance notes" in ROADMAP.md). Retention of the stepped vectors
+// compiled model is ~20× faster than constructing and solving afresh
+// (NewRRL, then TRR) for a new time batch and ~7× faster for a new rewards
+// vector (BenchmarkCompileQueryReuse; measured numbers are in the
+// committed BENCH_*.json files). Retention of the stepped vectors
 // costs O(8·states·K) bytes; CompileOptions.DisableRetention trades the
 // rebinding speed back for O(states) memory, and
 // CompileOptions.CompactRetention keeps float32 roundings instead — half
@@ -246,16 +250,14 @@
 // The solvers share a fused, pooled and batch-parallel execution layer.
 // The randomization step — vector–matrix product, zeroing of
 // regenerative/absorbing destinations, ℓ₁ mass and reward dot-product — is
-// one kernel pass (sparse.Matrix.StepFused) for SR, RSD, the RR/RRL series
-// build and AU (MS runs its dense block build on the same worker pool
-// instead); rebinding reward vectors to retained step vectors replays the
+// one kernel pass (sparse.Matrix.StepFused) for SR, RSD and the RR/RRL
+// series build; rebinding reward vectors to retained step vectors replays the
 // dot side of that kernel through one entry point, sparse.RewardDotMulti —
 // two retained vectors per register-chain sweep for a single binding,
 // eight-vector blocks for a planner group, the same per-pair arithmetic
 // either way; batches of time points and batches of queries fan out over
 // a persistent worker pool (internal/par); and
-// per-query scratch (stepping buffers, birth-process tables,
-// epsilon-acceleration diagonals) comes from per-size-class pools
+// per-query scratch (stepping buffers, epsilon-acceleration diagonals) comes from per-size-class pools
 // (internal/pool), so steady-state query traffic runs allocation-free on
 // the hot path. Parallel execution is deterministic: kernel reductions use
 // fixed chunk boundaries with ordered compensated partials, so every
@@ -280,7 +282,7 @@
 // machinery entirely. When α_r < 1 the main and primed chains step in
 // lockstep through one matrix traversal (sparse.Frontier.StepFusedMulti /
 // sparse.Matrix.StepFusedMulti — each stored entry loaded once for all
-// lanes), and regen.BuildManyWithDTMC runs any number of reward vectors as
+// lanes), and regen.BuildManyWithDTMCCtx runs any number of reward vectors as
 // extra dot lanes of one construction (row-interleaved rewards layout, a
 // register-chain dot replay for the saturated single-chunk phase, and
 // lane-group parallelism on multicore keep the per-lane marginal cost a
@@ -372,8 +374,10 @@
 // Performance is tracked PR-over-PR with cmd/benchjson, which runs the
 // Benchmark* suite and emits a BENCH_<date>.json trajectory file;
 // `benchjson -diff old.json new.json` prints per-benchmark deltas and
-// flags regressions beyond 10%. See the "Performance notes" section of
-// ROADMAP.md for current numbers.
+// flags regressions beyond 10%. The committed BENCH_*.json files hold the
+// measured numbers. The end-to-end serving benchmark (regenserve under
+// sweep, rebind and coldstart traffic) is declared in BENCHMARK.json and
+// runs with `bash servebench/run.sh`.
 //
 // The package also ships the paper's evaluation workload: parametric
 // dependability models of a level-5 RAID array (BuildRAID), and a harness

@@ -94,16 +94,16 @@ type Stats struct {
 // per-time-point work out over the worker pool funnel every counter update
 // through an accumulator so Stats stays consistent under the race detector;
 // counter sums are order-independent, so the final Stats is deterministic
-// regardless of worker scheduling. The zero value is ready to use (with
-// DetectionStep reported as -1 until set).
+// regardless of worker scheduling. The zero value is ready to use. No
+// accumulating solver detects a steady state, so DetectionStep is always
+// reported as -1.
 type StatsAccum struct {
-	mu     sync.Mutex
-	s      Stats
-	detSet bool
+	mu sync.Mutex
+	s  Stats
 }
 
 // Add folds the additive counters and durations of d into the accumulator.
-// d.DetectionStep is ignored; use SetDetectionStep.
+// d.DetectionStep is ignored.
 func (a *StatsAccum) Add(d Stats) {
 	a.mu.Lock()
 	a.s.BuildSteps += d.BuildSteps
@@ -118,23 +118,12 @@ func (a *StatsAccum) Add(d Stats) {
 // AddAbscissae adds n Laplace-transform evaluations.
 func (a *StatsAccum) AddAbscissae(n int) { a.Add(Stats{Abscissae: n}) }
 
-// SetDetectionStep records the steady-state detection step.
-func (a *StatsAccum) SetDetectionStep(k int) {
-	a.mu.Lock()
-	a.s.DetectionStep = k
-	a.detSet = true
-	a.mu.Unlock()
-}
-
-// Snapshot returns the accumulated Stats. DetectionStep is -1 unless
-// SetDetectionStep was called.
+// Snapshot returns the accumulated Stats, with DetectionStep -1.
 func (a *StatsAccum) Snapshot() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := a.s
-	if !a.detSet {
-		out.DetectionStep = -1
-	}
+	out.DetectionStep = -1
 	return out
 }
 

@@ -196,27 +196,6 @@ func (c *CTMC) Name(i int) string {
 // Transitions returns all transitions as sparse entries (rate triplets).
 func (c *CTMC) Transitions() []sparse.Entry { return c.rates.Entries() }
 
-// RateVecMat computes dst = src·R, where R is the off-diagonal rate matrix
-// (no diagonal). It is the kernel adaptive uniformization steps with, since
-// its per-step diagonal depends on the adaptive rate.
-func (c *CTMC) RateVecMat(dst, src []float64) { c.rates.VecMat(dst, src) }
-
-// RateStepAffine computes dst[j] = (src·R)[j]·alpha + src[j]·diag[j] over
-// the off-diagonal rate matrix and returns the fused compensated ℓ₁ mass
-// and reward dot-product of dst — one pass instead of the product, the
-// diagonal combine, and the reward dot adaptive uniformization used to make
-// separately. See sparse.Matrix.StepAffine for the determinism contract.
-func (c *CTMC) RateStepAffine(dst, src []float64, alpha float64, diag, rewards []float64) (sum, dot float64) {
-	return c.rates.StepAffine(dst, src, alpha, diag, rewards)
-}
-
-// OutRates returns a copy of the total exit rates of all states.
-func (c *CTMC) OutRates() []float64 {
-	out := make([]float64, c.n)
-	copy(out, c.outRate)
-	return out
-}
-
 // DTMC is the uniformized (randomized) discrete-time chain
 // P = I + Q/Lambda, stored in gather form for fast stepping of row
 // distributions.

@@ -36,13 +36,6 @@ func (m *Mat) At(i, j int) float64 { return m.Data[i*m.N+j] }
 // Set assigns M[i,j] = v.
 func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.N+j] = v }
 
-// Clone returns a deep copy.
-func (m *Mat) Clone() *Mat {
-	c := NewMat(m.N)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Add returns a + b.
 func Add(a, b *Mat) *Mat {
 	c := NewMat(a.N)

@@ -4,7 +4,7 @@
 // Hit(name) there and acts on the returned error. With no site enabled the
 // call is a single atomic load — cheap enough to leave in hot paths.
 //
-// Sites are enabled programmatically (Enable/Disable/Reset, used by tests)
+// Sites are enabled programmatically (Enable/Reset, used by tests)
 // or through the environment at process start:
 //
 //	REGENRAND_FAULTPOINTS="regen.step=delay:50ms;cache.populate=error,times:1;laplace.block=panic,after:3"
@@ -116,16 +116,6 @@ func Enable(name string, s Spec) {
 		active.Add(1)
 	}
 	sites[name] = &site{spec: s}
-}
-
-// Disable disarms name; a disabled site is free again.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := sites[name]; ok {
-		delete(sites, name)
-		active.Add(-1)
-	}
 }
 
 // Reset disarms every site.

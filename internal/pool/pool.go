@@ -3,11 +3,11 @@
 //
 // The query phase of the compile/query split evaluates many small requests
 // against shared immutable artifacts; without recycling, every request
-// allocates its stepping buffers, birth-process tables and acceleration
-// scratch afresh, and the allocator becomes a contended hot spot under
-// concurrent batch load. Vectors are pooled in power-of-two size classes on
-// sync.Pool, so steady-state query traffic runs allocation-free regardless
-// of the mix of model sizes hitting the process.
+// allocates its stepping buffers and acceleration scratch afresh, and the
+// allocator becomes a contended hot spot under concurrent batch load.
+// Vectors are pooled in power-of-two size classes on sync.Pool, so
+// steady-state query traffic runs allocation-free regardless of the mix of
+// model sizes hitting the process.
 //
 // Get returns a length-n slice whose contents are zeroed; Put recycles it.
 // Slices must not be used after Put (the usual sync.Pool contract).

@@ -26,7 +26,9 @@
 // (G=20, C_H=1, D_H=3) and 14,081 for (G=40, C_H=1, D_H=3) — both exactly
 // the numbers reported in §3. The reconstruction-success probability P_R is
 // not given in the paper; the default 0.9934 is calibrated against the
-// reported UR(10⁵) values (see DESIGN.md).
+// reported UR(10⁵) values. With it the unreliability models give
+// UR(10⁵) = 0.50339 (G=20) and 0.75306 (G=40), against the paper's 0.50480
+// and 0.74750 (`paperrepro -experiment headline` prints both).
 package raid
 
 import (
@@ -199,7 +201,7 @@ type transition struct {
 }
 
 // transitions enumerates the outgoing transitions of s under the
-// reconstructed dynamics (see the package comment and DESIGN.md §3).
+// reconstructed dynamics (see the package comment).
 func (p Params) transitions(s State) []transition {
 	if s.Failed {
 		return []transition{{State{NSD: p.DH, NSC: p.CH, AL: true}, p.MuG}}

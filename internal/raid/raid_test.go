@@ -9,7 +9,9 @@ import (
 	"regenrand/internal/core"
 	"regenrand/internal/ctmc"
 	"regenrand/internal/expm"
+	"regenrand/internal/regen"
 	"regenrand/internal/rrl"
+	"regenrand/internal/sparse"
 	"regenrand/internal/uniform"
 )
 
@@ -35,7 +37,7 @@ func TestStateCountsMatchPaper(t *testing.T) {
 		}
 		// Transition counts of the reconstruction land within ~12% of the
 		// paper's (the exact micro-structure of [13]'s model is not fully
-		// published); see DESIGN.md.
+		// published).
 		paperTrans := map[int]int{20: 24785, 40: 94405}[tc.g]
 		got := m.Chain.NumTransitions()
 		if math.Abs(float64(got-paperTrans)) > 0.12*float64(paperTrans) {
@@ -199,6 +201,22 @@ func TestSmallModelAgainstOracle(t *testing.T) {
 	}
 }
 
+// newRRL builds an RRL solver with the paper's configuration the way the
+// root constructor does: a non-retaining basis, a binding of the rewards,
+// then rrl.NewWithSource.
+func newRRL(model *ctmc.CTMC, rewards []float64, regenState int) (*rrl.Solver, error) {
+	basis, err := regen.NewBasisMode(model, regenState, core.DefaultOptions(), regen.RetainNone)
+	if err != nil {
+		return nil, err
+	}
+	bd, err := basis.Bind(rewards)
+	if err != nil {
+		return nil, err
+	}
+	rho0 := func() float64 { return sparse.Dot(model.Initial(), bd.Rewards()) }
+	return rrl.NewWithSource(bd, rho0, core.DefaultOptions(), rrl.Config{})
+}
+
 func TestURMonotoneAndRRLMatchesSR(t *testing.T) {
 	p := DefaultParams(4)
 	m, err := Build(p, true)
@@ -206,7 +224,7 @@ func TestURMonotoneAndRRLMatchesSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := m.UnreliabilityRewards()
-	sRRL, err := rrl.New(m.Chain, rewards, m.Pristine, core.DefaultOptions())
+	sRRL, err := newRRL(m.Chain, rewards, m.Pristine)
 	if err != nil {
 		t.Fatal(err)
 	}

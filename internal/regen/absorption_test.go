@@ -28,7 +28,7 @@ func TestVModelAbsorptionSplit(t *testing.T) {
 		for _, f := range c.Absorbing() {
 			rewards := make([]float64, n)
 			rewards[f] = 1
-			rr, err := New(c, rewards, 0, core.DefaultOptions())
+			rr, err := newRR(c, rewards, 0, core.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestVModelAbsorptionTotalMass(t *testing.T) {
 	for f, want := range map[int]float64{1: 0.25, 2: 0.75} {
 		rewards := make([]float64, 3)
 		rewards[f] = 1
-		rr, err := New(c, rewards, 0, core.DefaultOptions())
+		rr, err := newRR(c, rewards, 0, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

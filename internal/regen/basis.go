@@ -81,18 +81,11 @@ const (
 	RetainCompact
 )
 
-// NewBasis validates the reward-independent inputs, uniformizes the model
-// once, and returns a Basis. retain selects whether stepped vectors are kept
-// for later reward binding (memory O(states · K)) or each binding re-steps.
-func NewBasis(model *ctmc.CTMC, regenState int, opts core.Options, retain bool) (*Basis, error) {
-	mode := RetainNone
-	if retain {
-		mode = RetainFull
-	}
-	return NewBasisMode(model, regenState, opts, mode)
-}
-
-// NewBasisMode is NewBasis with an explicit retention mode.
+// NewBasisMode validates the reward-independent inputs, uniformizes the
+// model once, and returns a Basis. mode selects what is kept of the stepped
+// vectors for later reward binding: all of them (RetainFull, memory
+// O(states · K)), their float32 roundings (RetainCompact), or nothing, so
+// each binding re-steps (RetainNone).
 func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode RetainMode) (*Basis, error) {
 	if err := validateRegenInputs(model, regenState, &opts); err != nil {
 		return nil, err
@@ -564,23 +557,18 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 	return nil
 }
 
-// PrebindMany warms the b-series caches of several bindings of this basis
-// for one shared horizon: the chains are extended once under the deepest
-// requirement, and every binding's missing coefficients are replayed as
-// reward lanes of the multi-rewards dot kernel — the retained vectors are
-// streamed once per eight-vector block for all bindings instead of once per
-// binding. The cached values are bitwise-identical to what each binding's
-// own SeriesFor would compute (the per-(vector, rewards) replay arithmetic
-// is association-fixed), so this is purely a throughput optimization; a
-// later SeriesFor call finds its coefficients cached. No-op on a
-// non-retaining basis.
-func (b *Basis) PrebindMany(bds []*Binding, horizon float64) error {
-	return b.PrebindManyCtx(context.Background(), bds, horizon)
-}
-
-// PrebindManyCtx is PrebindMany with cooperative cancellation during the
-// shared chain extension; the replay fill itself is not interrupted (it is
-// cheap relative to stepping and keeps the store append-consistent).
+// PrebindManyCtx warms the b-series caches of several bindings of this
+// basis for one shared horizon: the chains are extended once under the
+// deepest requirement, and every binding's missing coefficients are
+// replayed as reward lanes of the multi-rewards dot kernel — the retained
+// vectors are streamed once per eight-vector block for all bindings instead
+// of once per binding. The cached values are bitwise-identical to what each
+// binding's own SeriesFor would compute (the per-(vector, rewards) replay
+// arithmetic is association-fixed), so this is purely a throughput
+// optimization; a later SeriesFor call finds its coefficients cached. No-op
+// on a non-retaining basis. ctx is observed during the shared chain
+// extension; the replay fill itself is not interrupted (it is cheap
+// relative to stepping and keeps the store append-consistent).
 func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon float64) error {
 	if b.mode == RetainNone || len(bds) == 0 {
 		return nil
@@ -592,7 +580,7 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 	budgets := make([]float64, len(bds))
 	for i, bd := range bds {
 		if bd.basis != b {
-			return fmt.Errorf("regen: PrebindMany binding %d belongs to a different basis", i)
+			return fmt.Errorf("regen: PrebindManyCtx binding %d belongs to a different basis", i)
 		}
 		bud, err := b.truncBudget(bd.rmax)
 		if err != nil {
@@ -667,7 +655,7 @@ func (bd *Binding) store(prime bool) *[]float64 {
 
 // fillMany computes the missing b(0..tops[i]) of every binding over one
 // chain snapshot — the one replay path of every binding, whether it comes
-// alone (SeriesFor) or in a planner group (PrebindMany). Stores only ever
+// alone (SeriesFor) or in a planner group (PrebindManyCtx). Stores only ever
 // grow and every entry is a pure function of (basis, rewards, k), so
 // concurrent fills commute: whoever appends first appends the same values.
 func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, prime bool) {

@@ -87,7 +87,7 @@ func assertSeriesIdentical(t *testing.T, got, want *Series) {
 func TestBindSeriesBitwiseEqualsBuild(t *testing.T) {
 	model := basisTestModel(t)
 	opts := core.DefaultOptions()
-	basis, err := NewBasis(model, 0, opts, true)
+	basis, err := NewBasisMode(model, 0, opts, RetainFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestBindSeriesBitwiseEqualsBuild(t *testing.T) {
 func TestFusedBindingBitwiseEqualsBuild(t *testing.T) {
 	model := basisTestModel(t)
 	opts := core.DefaultOptions()
-	basis, err := NewBasis(model, 0, opts, false)
+	basis, err := NewBasisMode(model, 0, opts, RetainNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,13 @@ func TestFusedBindingBitwiseEqualsBuild(t *testing.T) {
 func TestBasisValidation(t *testing.T) {
 	model := basisTestModel(t)
 	opts := core.DefaultOptions()
-	if _, err := NewBasis(model, -1, opts, true); err == nil {
+	if _, err := NewBasisMode(model, -1, opts, RetainFull); err == nil {
 		t.Error("negative regen state accepted")
 	}
-	if _, err := NewBasis(model, 4, opts, true); err == nil {
+	if _, err := NewBasisMode(model, 4, opts, RetainFull); err == nil {
 		t.Error("absorbing regen state accepted")
 	}
-	basis, err := NewBasis(model, 0, opts, true)
+	basis, err := NewBasisMode(model, 0, opts, RetainFull)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestBuildManyBitwiseEqualsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range []float64{5, 60, 300} {
-		many, err := BuildManyWithDTMC(model, d, rewardsSets, 0, opts, h)
+		many, err := BuildManyWithDTMCCtx(context.Background(), model, d, rewardsSets, 0, opts, h)
 		if err != nil {
 			t.Fatal(err)
 		}

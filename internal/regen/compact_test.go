@@ -89,7 +89,7 @@ func TestCompactSeriesWithinQuantBound(t *testing.T) {
 	}
 }
 
-// PrebindMany must warm exactly the coefficients each binding's own
+// PrebindManyCtx must warm exactly the coefficients each binding's own
 // SeriesFor would compute — the grouped replay (eight-vector blocks) and a
 // single binding's replay (the one-vector two-lane sweep) interchangeable
 // bit for bit — in full and compact modes, across partial warm states and
@@ -130,14 +130,14 @@ func TestPrebindManyBitwiseEqualsIndividual(t *testing.T) {
 			refBinds = append(refBinds, rb)
 			grpBinds = append(grpBinds, gb)
 		}
-		// Warm one grouped binding partially first, so PrebindMany meets a
+		// Warm one grouped binding partially first, so PrebindManyCtx meets a
 		// half-filled store.
 		if _, err := grpBinds[0].SeriesFor(5); err != nil {
 			t.Fatal(err)
 		}
 		for _, h := range []float64{60, 5, 300} { // non-monotone horizon order
-			if err := grouped.PrebindMany(grpBinds, h); err != nil {
-				t.Fatalf("mode %v: PrebindMany: %v", mode, err)
+			if err := grouped.PrebindManyCtx(context.Background(), grpBinds, h); err != nil {
+				t.Fatalf("mode %v: PrebindManyCtx: %v", mode, err)
 			}
 			for i := range rewardsSets {
 				want, err := refBinds[i].SeriesFor(h)
@@ -154,7 +154,7 @@ func TestPrebindManyBitwiseEqualsIndividual(t *testing.T) {
 	}
 }
 
-// PrebindMany on a non-retaining basis is a no-op, and on a compact basis
+// PrebindManyCtx on a non-retaining basis is a no-op, and on a compact basis
 // with too-tight epsilon it surfaces the budget error.
 func TestPrebindManyEdgeCases(t *testing.T) {
 	model := basisTestModel(t)
@@ -166,8 +166,8 @@ func TestPrebindManyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := none.PrebindMany([]*Binding{bd}, 10); err != nil {
-		t.Fatalf("non-retaining PrebindMany: %v", err)
+	if err := none.PrebindManyCtx(context.Background(), []*Binding{bd}, 10); err != nil {
+		t.Fatalf("non-retaining PrebindManyCtx: %v", err)
 	}
 	compact, err := NewBasisMode(model, 0, core.DefaultOptions(), RetainCompact)
 	if err != nil {
@@ -177,8 +177,8 @@ func TestPrebindManyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compact.PrebindMany([]*Binding{cb}, 10); err == nil {
-		t.Fatal("compact PrebindMany certified epsilon 1e-12")
+	if err := compact.PrebindManyCtx(context.Background(), []*Binding{cb}, 10); err == nil {
+		t.Fatal("compact PrebindManyCtx certified epsilon 1e-12")
 	}
 }
 

@@ -11,6 +11,21 @@ import (
 	"regenrand/internal/uniform"
 )
 
+// newRR builds an RR solver the way the compile phase does: a non-retaining
+// basis, a binding of the rewards, then NewWithSource. Each new horizon
+// extends the binding's own chains instead of re-stepping from scratch.
+func newRR(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*Solver, error) {
+	basis, err := NewBasisMode(model, regenState, opts, RetainNone)
+	if err != nil {
+		return nil, err
+	}
+	bd, err := basis.Bind(rewards)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithSource(bd, opts)
+}
+
 func twoState(t *testing.T, lambda, mu float64) *ctmc.CTMC {
 	t.Helper()
 	b := ctmc.NewBuilder(2)
@@ -132,7 +147,7 @@ func TestVModelRates(t *testing.T) {
 func TestRRTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 0.2, 1.9
 	c := twoState(t, lambda, mu)
-	s, err := New(c, []float64{0, 1}, 0, core.DefaultOptions())
+	s, err := newRR(c, []float64{0, 1}, 0, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +177,7 @@ func TestRRMatchesSRRandomModels(t *testing.T) {
 		}
 		absorbingOnly := trial%4 == 3 && len(c.Absorbing()) > 0
 		rewards := ctmc.RandomRewards(rng, c, 2.0, absorbingOnly)
-		rr, err := New(c, rewards, 0, core.DefaultOptions())
+		rr, err := newRR(c, rewards, 0, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +222,7 @@ func TestRRMatchesOracleAbsorbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := ctmc.RandomRewards(rng, c, 1.0, true) // unreliability-style
-	s, err := New(c, rewards, 0, core.DefaultOptions())
+	s, err := newRR(c, rewards, 0, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +283,7 @@ func TestStepsGrowLogarithmically(t *testing.T) {
 	// K(t) grows roughly logarithmically for large t (the paper's Table 1
 	// contrast with SR's linear growth).
 	c := birthDeath3(t)
-	s, err := New(c, []float64{0, 0, 1}, 0, core.DefaultOptions())
+	s, err := newRR(c, []float64{0, 0, 1}, 0, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +347,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestHorizonRebuild(t *testing.T) {
 	c := birthDeath3(t)
-	s, err := New(c, []float64{0, 0, 1}, 0, core.DefaultOptions())
+	s, err := newRR(c, []float64{0, 0, 1}, 0, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

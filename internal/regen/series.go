@@ -435,7 +435,7 @@ func (cs *chainState) finishStep(plan *zeroPlan, next float64) {
 
 // multiChain steps one restricted chain while tracking the conditional
 // reward series of any number of reward vectors. It is the construction
-// unit of every reward-carrying chain: the lanes of BuildManyWithDTMC and
+// unit of every reward-carrying chain: the lanes of BuildManyWithDTMCCtx and
 // the one-lane incremental store of a binding on a non-retaining basis. The
 // chain statistics live in the embedded chainState; the per-rewards b
 // series are appended here from the fused kernels' dot lanes.
@@ -605,7 +605,7 @@ func frontierFor(model *ctmc.CTMC, d *ctmc.DTMC, regen int) *sparse.Frontier {
 	return d.P.FrontierFor(sources)
 }
 
-// BuildManyWithDTMC builds the series of several reward vectors over one
+// BuildManyWithDTMCCtx builds the series of several reward vectors over one
 // model in a single stepping pass: the chain trajectory u_k is
 // reward-independent, so all R vectors ride one traversal of the DTMC per
 // step (multi-lane lockstep; each stored entry is loaded once for all
@@ -615,15 +615,11 @@ func frontierFor(model *ctmc.CTMC, d *ctmc.DTMC, regen int) *sparse.Frontier {
 // unchanged (see sparse.StepFusedMulti), each lane's truncation level comes
 // from the same monotone bound searched over the same values, and lanes
 // that certify early only carry prefix slices of the shared arrays.
-func BuildManyWithDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64) ([]*Series, error) {
-	return BuildManyWithDTMCCtx(context.Background(), model, d, rewardsList, regen, opts, horizon)
-}
-
-// BuildManyWithDTMCCtx is BuildManyWithDTMC with cooperative cancellation:
+//
 // ctx is tested once per stepping iteration, so a cancel returns within one
 // step's latency carrying a core.CancelError with the steps completed. A
-// successful build is bitwise-identical to the ctx-free one — the ctx check
-// performs no arithmetic.
+// successful build is bitwise-identical to an uncancelled one — the ctx
+// check performs no arithmetic.
 func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64) ([]*Series, error) {
 	if err := validateRegenInputs(model, regen, &opts); err != nil {
 		return nil, err

@@ -7,28 +7,8 @@ import (
 	"time"
 
 	"regenrand/internal/core"
-	"regenrand/internal/ctmc"
 	"regenrand/internal/uniform"
 )
-
-// SeriesSource yields the series certified for a horizon. Build-backed
-// sources re-step per call; compile-phase Bindings bind retained vectors.
-type SeriesSource interface {
-	SeriesFor(horizon float64) (*Series, error)
-}
-
-// buildSource is the classic construct-and-solve path: a fresh fused build
-// per horizon.
-type buildSource struct {
-	model   *ctmc.CTMC
-	rewards []float64
-	regen   int
-	opts    core.Options
-}
-
-func (b buildSource) SeriesFor(horizon float64) (*Series, error) {
-	return Build(b.model, b.rewards, b.regen, b.opts, horizon)
-}
 
 // Solver is the original regenerative randomization method (the paper's
 // "RR"): build the truncated transformed chain V_{K,L}, then solve it with
@@ -36,7 +16,7 @@ func (b buildSource) SeriesFor(horizon float64) (*Series, error) {
 // truncation, half to the V solution, as in the paper.
 type Solver struct {
 	opts core.Options
-	src  SeriesSource
+	src  *Binding
 
 	series *Series
 	eval   *VEvaluator
@@ -44,28 +24,12 @@ type Solver struct {
 	stats core.Stats
 }
 
-// New validates the inputs and returns an RR solver for the given
-// regenerative state. The series construction is deferred to the first
-// TRR/MRR call, whose largest time fixes the truncation horizon.
-func New(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*Solver, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := core.CheckRewards(rewards, model.N()); err != nil {
-		return nil, err
-	}
-	if regenState < 0 || regenState >= model.N() || model.IsAbsorbing(regenState) {
-		return nil, fmt.Errorf("regen: invalid regenerative state %d", regenState)
-	}
-	r := make([]float64, len(rewards))
-	copy(r, rewards)
-	return NewWithSource(buildSource{model: model, rewards: r, regen: regenState, opts: opts}, opts)
-}
-
-// NewWithSource returns an RR solver over an externally supplied series
-// source (the compile phase's Binding). Input validation is the source's
-// responsibility; opts must match the options the source was built with.
-func NewWithSource(src SeriesSource, opts core.Options) (*Solver, error) {
+// NewWithSource returns an RR solver over a compile-phase binding. The
+// series construction is deferred to the first TRR/MRR call, whose largest
+// time fixes the truncation horizon; a later call with a larger time asks
+// the binding for the deeper series. Input validation is the binding's
+// responsibility; opts must match the options its basis was built with.
+func NewWithSource(src *Binding, opts core.Options) (*Solver, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

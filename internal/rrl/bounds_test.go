@@ -26,7 +26,7 @@ func TestTRRBoundsEncloseTruth(t *testing.T) {
 			t.Fatal(err)
 		}
 		rewards := ctmc.RandomRewards(rng, c, 2.0, false)
-		s, err := New(c, rewards, 0, core.DefaultOptions())
+		s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +81,11 @@ func TestBoundsRRvsRRL(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := ctmc.RandomRewards(rng, c, 1.5, false)
-	rrlS, err := New(c, rewards, 0, core.DefaultOptions())
+	rrlS, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrS, err := regen.New(c, rewards, 0, core.DefaultOptions())
+	rrS, err := newRR(c, rewards, 0, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestBoundsCoarseTruncation(t *testing.T) {
 	}
 	rewards := []float64{0, 0.5, 1}
 	coarse := core.Options{Epsilon: 1e-4, UniformizationFactor: 1}
-	s, err := New(c, rewards, 0, coarse)
+	s, err := newRRL(c, rewards, 0, coarse, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

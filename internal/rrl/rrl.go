@@ -50,11 +50,9 @@ import (
 	"time"
 
 	"regenrand/internal/core"
-	"regenrand/internal/ctmc"
 	"regenrand/internal/laplace"
 	"regenrand/internal/par"
 	"regenrand/internal/regen"
-	"regenrand/internal/sparse"
 )
 
 // Config holds the RRL-specific inversion knobs; the zero value reproduces
@@ -93,7 +91,7 @@ type Solver struct {
 	rho0Dot func() float64 // π(0)·r̄ for the t = 0 shortcut
 	opts    core.Options
 	conf    Config
-	src     regen.SeriesSource
+	src     *regen.Binding
 
 	series *regen.Series
 	eval   *Evaluator
@@ -101,45 +99,11 @@ type Solver struct {
 	stats core.StatsAccum
 }
 
-// New returns an RRL solver with the paper's inversion configuration.
-func New(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*Solver, error) {
-	return NewWithConfig(model, rewards, regenState, opts, Config{})
-}
-
-// buildSource is the classic construct-and-solve path: a fresh fused series
-// build per horizon.
-type buildSource struct {
-	model   *ctmc.CTMC
-	rewards []float64
-	regen   int
-	opts    core.Options
-}
-
-func (b buildSource) SeriesFor(horizon float64) (*regen.Series, error) {
-	return regen.Build(b.model, b.rewards, b.regen, b.opts, horizon)
-}
-
-// NewWithConfig returns an RRL solver with explicit inversion settings.
-func NewWithConfig(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options, conf Config) (*Solver, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := core.CheckRewards(rewards, model.N()); err != nil {
-		return nil, err
-	}
-	if regenState < 0 || regenState >= model.N() || model.IsAbsorbing(regenState) {
-		return nil, fmt.Errorf("rrl: invalid regenerative state %d", regenState)
-	}
-	r := make([]float64, len(rewards))
-	copy(r, rewards)
-	return NewWithSource(buildSource{model: model, rewards: r, regen: regenState, opts: opts},
-		func() float64 { return sparse.Dot(model.Initial(), r) }, opts, conf)
-}
-
-// NewWithSource returns an RRL solver over an externally supplied series
-// source (the compile phase's Binding). rho0 supplies π(0)·r̄ for the t = 0
-// shortcut; input validation is the source's responsibility.
-func NewWithSource(src regen.SeriesSource, rho0 func() float64, opts core.Options, conf Config) (*Solver, error) {
+// NewWithSource returns an RRL solver over a compile-phase binding. rho0
+// supplies π(0)·r̄ for the t = 0 shortcut; input validation is the
+// binding's responsibility. The series construction is deferred to the
+// first call, whose largest time fixes the truncation horizon.
+func NewWithSource(src *regen.Binding, rho0 func() float64, opts core.Options, conf Config) (*Solver, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,8 +9,38 @@ import (
 	"regenrand/internal/ctmc"
 	"regenrand/internal/expm"
 	"regenrand/internal/regen"
+	"regenrand/internal/sparse"
 	"regenrand/internal/uniform"
 )
+
+// bindNone binds the rewards on a non-retaining basis, the configuration
+// the root constructors (NewRR, NewRRL) compile in.
+func bindNone(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*regen.Binding, error) {
+	basis, err := regen.NewBasisMode(model, regenState, opts, regen.RetainNone)
+	if err != nil {
+		return nil, err
+	}
+	return basis.Bind(rewards)
+}
+
+// newRRL builds an RRL solver over a fresh non-retaining binding.
+func newRRL(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options, conf Config) (*Solver, error) {
+	bd, err := bindNone(model, rewards, regenState, opts)
+	if err != nil {
+		return nil, err
+	}
+	rho0 := func() float64 { return sparse.Dot(model.Initial(), bd.Rewards()) }
+	return NewWithSource(bd, rho0, opts, conf)
+}
+
+// newRR builds the RR comparator over a fresh non-retaining binding.
+func newRR(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*regen.Solver, error) {
+	bd, err := bindNone(model, rewards, regenState, opts)
+	if err != nil {
+		return nil, err
+	}
+	return regen.NewWithSource(bd, opts)
+}
 
 func twoState(t *testing.T, lambda, mu float64) *ctmc.CTMC {
 	t.Helper()
@@ -34,7 +64,7 @@ func twoState(t *testing.T, lambda, mu float64) *ctmc.CTMC {
 func TestRRLTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 0.2, 1.9
 	c := twoState(t, lambda, mu)
-	s, err := New(c, []float64{0, 1}, 0, core.DefaultOptions())
+	s, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +88,7 @@ func TestRRLTwoStateAnalytic(t *testing.T) {
 func TestRRLMRRTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 0.3, 1.1
 	c := twoState(t, lambda, mu)
-	s, err := New(c, []float64{0, 1}, 0, core.DefaultOptions())
+	s, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +118,7 @@ func TestRRLMatchesSRAndRR(t *testing.T) {
 		}
 		absorbingOnly := trial%4 == 3 && len(c.Absorbing()) > 0
 		rewards := ctmc.RandomRewards(rng, c, 2.0, absorbingOnly)
-		rrl, err := New(c, rewards, 0, core.DefaultOptions())
+		rrl, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +126,7 @@ func TestRRLMatchesSRAndRR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := regen.New(c, rewards, 0, core.DefaultOptions())
+		rr, err := newRR(c, rewards, 0, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +176,7 @@ func TestRRLMatchesOracleUnreliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := ctmc.RandomRewards(rng, c, 1.0, true)
-	s, err := New(c, rewards, 0, core.DefaultOptions())
+	s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +209,7 @@ func TestRRLLargeTimeStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := []float64{0, 0, 1}
-	s, err := New(c, rewards, 0, core.DefaultOptions())
+	s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +240,7 @@ func TestRRLTFactorAblation(t *testing.T) {
 	values := map[float64]float64{}
 	absc := map[float64]int{}
 	for _, kappa := range []float64{4, 8, 16} {
-		s, err := NewWithConfig(c, rewards, 0, core.DefaultOptions(), Config{TFactor: kappa})
+		s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{TFactor: kappa})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,13 +263,13 @@ func TestRRLTFactorAblation(t *testing.T) {
 
 func TestRRLValidation(t *testing.T) {
 	c := twoState(t, 1, 1)
-	if _, err := New(c, []float64{0, 1}, 7, core.DefaultOptions()); err == nil {
+	if _, err := newRRL(c, []float64{0, 1}, 7, core.DefaultOptions(), Config{}); err == nil {
 		t.Error("want error for bad regenerative state")
 	}
-	if _, err := NewWithConfig(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{TFactor: 0.5}); err == nil {
+	if _, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{TFactor: 0.5}); err == nil {
 		t.Error("want error for TFactor < 1")
 	}
-	s, err := New(c, []float64{0, 1}, 0, core.DefaultOptions())
+	s, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +280,7 @@ func TestRRLValidation(t *testing.T) {
 
 func TestRRLZeroTime(t *testing.T) {
 	c := twoState(t, 1, 1)
-	s, err := New(c, []float64{5, 1}, 0, core.DefaultOptions())
+	s, err := newRRL(c, []float64{5, 1}, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +296,7 @@ func TestRRLZeroTime(t *testing.T) {
 func TestTransformLimitBehaviour(t *testing.T) {
 	// s·TRR̃(s) → TRR(0) = r(initial) as s → ∞ (initial value theorem).
 	c := twoState(t, 0.5, 1.5)
-	s, err := New(c, []float64{2, 0}, 0, core.DefaultOptions())
+	s, err := newRRL(c, []float64{2, 0}, 0, core.DefaultOptions(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

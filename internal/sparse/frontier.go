@@ -269,9 +269,6 @@ func (f *Frontier) rebalanceChunks() {
 // set over the reachable rows).
 func (f *Frontier) MaxLevel() int { return len(f.levelEnd) - 1 }
 
-// Reachable returns the number of reachable rows.
-func (f *Frontier) Reachable() int { return len(f.order) }
-
 // Saturated reports whether the step with the given index (stepping u_step
 // to u_{step+1}) covers every row of the matrix, in which case the plain
 // full-sweep kernels are both correct and faster — the frontier kernels
@@ -289,12 +286,6 @@ func (f *Frontier) activeChunks(step int) int {
 		return len(f.chunks) - 1
 	}
 	return f.levelChunk[l]
-}
-
-// ActiveRows returns the number of destination rows the step with the given
-// index sweeps (a diagnostic for tests and cost accounting).
-func (f *Frontier) ActiveRows(step int) int {
-	return f.chunks[f.activeChunks(step)]
 }
 
 // getPartials returns a zeroed per-chunk scratch slice from the frontier's

@@ -329,70 +329,6 @@ func TestStepFusedBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// Same bitwise-stability contract for the affine kernel.
-func TestStepAffineBitwiseAcrossGOMAXPROCS(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 2500
-	m := randomKernelMatrix(t, rng, n, 10)
-	src := make([]float64, n)
-	diag := make([]float64, n)
-	rewards := make([]float64, n)
-	for i := range src {
-		src[i] = rng.Float64()
-		diag[i] = rng.Float64()
-		rewards[i] = rng.Float64()
-	}
-	dst1 := make([]float64, n)
-	old := runtime.GOMAXPROCS(1)
-	sum1, dot1 := m.StepAffine(dst1, src, 0.25, diag, rewards)
-	runtime.GOMAXPROCS(8)
-	dst8 := make([]float64, n)
-	sum8, dot8 := m.StepAffine(dst8, src, 0.25, diag, rewards)
-	runtime.GOMAXPROCS(old)
-	if math.Float64bits(sum1) != math.Float64bits(sum8) || math.Float64bits(dot1) != math.Float64bits(dot8) {
-		t.Errorf("StepAffine sum/dot differ across GOMAXPROCS: %v/%v vs %v/%v", sum1, dot1, sum8, dot8)
-	}
-	for j := range dst1 {
-		if math.Float64bits(dst1[j]) != math.Float64bits(dst8[j]) {
-			t.Fatalf("StepAffine dst[%d] differs across GOMAXPROCS", j)
-		}
-	}
-}
-
-// StepAffine must agree with the unfused composition it replaces.
-func TestStepAffineMatchesComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	n := 200
-	m := randomKernelMatrix(t, rng, n, 5)
-	src := make([]float64, n)
-	diag := make([]float64, n)
-	rewards := make([]float64, n)
-	for i := range src {
-		src[i] = rng.Float64()
-		diag[i] = rng.Float64()
-		rewards[i] = 3 * rng.Float64()
-	}
-	alpha := 0.125
-	ref := make([]float64, n)
-	m.VecMat(ref, src)
-	for j := range ref {
-		ref[j] = ref[j]*alpha + src[j]*diag[j]
-	}
-	dst := make([]float64, n)
-	sum, dot := m.StepAffine(dst, src, alpha, diag, rewards)
-	for j := range dst {
-		if math.Abs(dst[j]-ref[j]) > 1e-15*(1+math.Abs(ref[j])) {
-			t.Fatalf("dst[%d]=%g ref %g", j, dst[j], ref[j])
-		}
-	}
-	if d := ulpDiff(sum, Sum(ref)); d > 4 {
-		t.Errorf("sum %v vs composition %v (%d ulp)", sum, Sum(ref), d)
-	}
-	if d := ulpDiff(dot, Dot(ref, rewards)); d > 4 {
-		t.Errorf("dot %v vs composition %v (%d ulp)", dot, Dot(ref, rewards), d)
-	}
-}
-
 // The chunk decomposition must tile [0, n) exactly.
 func TestChunkInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))

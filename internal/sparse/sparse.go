@@ -13,7 +13,7 @@
 //
 // Destination rows are pre-partitioned into chunks balanced by stored-entry
 // count. The chunk boundaries depend only on the matrix, never on
-// GOMAXPROCS, and every reduction (StepFused, StepAffine) accumulates one
+// GOMAXPROCS, and every reduction (StepFused, RewardDotFused) accumulates one
 // compensated partial per chunk and folds the partials in chunk order — so
 // results are bitwise-identical whether the chunks run serially or on the
 // worker pool of package par.
@@ -233,16 +233,6 @@ func (m *Matrix) VecMat(dst, src []float64) {
 	if m.NNZ() >= parallelThreshold {
 		m.vecMatParallel(dst, src)
 		return
-	}
-	m.vecMatRange(dst, src, 0, m.n)
-}
-
-// VecMatSerial computes dst = src·M strictly on the calling goroutine. It is
-// the kernel for callers that are themselves inside a parallel section (e.g.
-// the multistep block build, which parallelizes over matrix rows).
-func (m *Matrix) VecMatSerial(dst, src []float64) {
-	if len(dst) != m.n || len(src) != m.n {
-		panic("sparse: VecMat dimension mismatch")
 	}
 	m.vecMatRange(dst, src, 0, m.n)
 }
@@ -772,50 +762,6 @@ func reducePartials(partials []fusedPartial) (sum, dot float64) {
 		dAcc.Add(-partials[i].dotC)
 	}
 	return sAcc.Value(), dAcc.Value()
-}
-
-// stepAffineRange is the chunk worker of StepAffine.
-func (m *Matrix) stepAffineRange(p *fusedPartial, dst, src []float64, alpha float64, diag, rewards []float64, lo, hi int) {
-	inPtr, inSrc, inVal := m.inPtr, m.inSrc, m.inVal
-	sum, sumC := p.sum, p.sumC
-	dot, dotC := p.dot, p.dotC
-	for j := lo; j < hi; j++ {
-		var s float64
-		for q := inPtr[j]; q < inPtr[j+1]; q++ {
-			s += src[inSrc[q]] * inVal[q]
-		}
-		s = s*alpha + src[j]*diag[j]
-		dst[j] = s
-		y := s - sumC
-		t := sum + y
-		sumC = (t - sum) - y
-		sum = t
-		if rewards != nil {
-			y = s*rewards[j] - dotC
-			t = dot + y
-			dotC = (t - dot) - y
-			dot = t
-		}
-	}
-	p.sum, p.sumC = sum, sumC
-	p.dot, p.dotC = dot, dotC
-}
-
-// StepAffine computes dst[j] = (src·M)[j]·alpha + src[j]·diag[j] and returns
-// the compensated ℓ₁ mass and reward dot-product of dst in the same pass —
-// the step kernel of adaptive uniformization, where M is the off-diagonal
-// rate matrix, alpha = 1/Λ_k and diag[j] = 1 − q_j/Λ_k. The same
-// chunk-deterministic reduction as StepFused applies.
-func (m *Matrix) StepAffine(dst, src []float64, alpha float64, diag, rewards []float64) (sum, dot float64) {
-	if len(dst) != m.n || len(src) != m.n || len(diag) != m.n {
-		panic("sparse: StepAffine dimension mismatch")
-	}
-	if rewards != nil && len(rewards) != m.n {
-		panic("sparse: StepAffine rewards length mismatch")
-	}
-	return m.runChunks(func(p *fusedPartial, lo, hi int) {
-		m.stepAffineRange(p, dst, src, alpha, diag, rewards, lo, hi)
-	})
 }
 
 // InEdges returns views of the source indices and values of the in-edges of

@@ -57,8 +57,8 @@ func TestPaperScaleUAAgreement(t *testing.T) {
 
 // TestPaperHeadlineUR pins the §3 headline numbers: UR(10⁵) for both model
 // instances (paper: 0.50480 and 0.74750 — ours differ only through the
-// calibrated P_R, see DESIGN.md), the RR/RRL step counts of Table 2
-// (paper: 3157 and 5955), and the abscissa range (paper: 105–329).
+// calibrated P_R; see the raid package comment), the RR/RRL step counts of
+// Table 2 (paper: 3157 and 5955), and the abscissa range (paper: 105–329).
 func TestPaperHeadlineUR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("G=40 instance takes ~2s")

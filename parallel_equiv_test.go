@@ -135,7 +135,6 @@ func TestSolversBitwiseAcrossGOMAXPROCS(t *testing.T) {
 		}
 		if len(c.Absorbing()) == 0 {
 			makers["RSD"] = func() (regenrand.Solver, error) { return regenrand.NewRSD(c, rewards, opts) }
-			makers["AU"] = func() (regenrand.Solver, error) { return regenrand.NewAU(c, rewards, opts) }
 		}
 		for name, mk := range makers {
 			old := runtime.GOMAXPROCS(1)

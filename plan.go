@@ -86,7 +86,6 @@ func fingerprint(q Query, rk string) string {
 	h.Write([]byte{0})
 	h.Write([]byte(q.Inverter))
 	h.Write([]byte{0})
-	u64(uint64(int64(q.BlockSteps)))
 	u64(uint64(len(q.Times)))
 	for _, t := range q.Times {
 		u64(math.Float64bits(t))
@@ -97,12 +96,12 @@ func fingerprint(q Query, rk string) string {
 
 // planBatchCtx normalizes and deduplicates the requests, then prewarms the
 // grouped series/binding caches. It never fails: requests the planner
-// cannot place in a group (invalid times or rewards, non-regenerative
-// methods, no compiled regenerative state) are left for per-request
-// evaluation, which reports their errors in order. A cancelled ctx stops
-// the prewarm passes early — dedup information is still returned, and
-// evaluation (which observes the same ctx) reports the cancellation per
-// request.
+// cannot place in a group (requests QueryCtx rejects, invalid rewards,
+// non-regenerative methods, no compiled regenerative state) are left for
+// per-request evaluation, which reports their errors in order. A cancelled
+// ctx stops the prewarm passes early — dedup information is still
+// returned, and evaluation (which observes the same ctx) reports the
+// cancellation per request.
 func (cm *CompiledModel) planBatchCtx(ctx context.Context, qs []Query) batchPlan {
 	p := batchPlan{dup: make(map[int]int)}
 	seen := make(map[string]int, len(qs))
@@ -129,7 +128,7 @@ func (cm *CompiledModel) planBatchCtx(ctx context.Context, qs []Query) batchPlan
 		if cm.basis == nil || (q.Method != MethodRR && q.Method != MethodRRL) {
 			continue
 		}
-		if core.CheckTimes(q.Times) != nil {
+		if _, err := cm.check(ctx, q, false); err != nil {
 			continue
 		}
 		// Group by the effective (bucketed) horizon: with HorizonBuckets on,

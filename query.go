@@ -12,17 +12,14 @@ import (
 
 // Method selects the solution method of a query — the acronyms of the
 // paper: SR (standard randomization), RSD (randomization with steady-state
-// detection), AU (adaptive uniformization), MS (multistep randomization),
-// RR (regenerative randomization) and RRL (regenerative randomization with
-// Laplace transform inversion).
+// detection), RR (regenerative randomization) and RRL (regenerative
+// randomization with Laplace transform inversion).
 type Method string
 
 // The supported methods.
 const (
 	MethodSR  Method = "SR"
 	MethodRSD Method = "RSD"
-	MethodAU  Method = "AU"
-	MethodMS  Method = "MS"
 	MethodRR  Method = "RR"
 	MethodRRL Method = "RRL"
 )
@@ -49,9 +46,6 @@ type Query struct {
 	Rewards []float64
 	// Times are the evaluation time points.
 	Times []float64
-	// BlockSteps fixes the randomization steps per block for MS (0 =
-	// automatic); ignored by other methods.
-	BlockSteps int
 	// Inverter overrides the compile's Laplace backend (RRLConfig.Inverter)
 	// for this request: "durbin" or "euler"; "" keeps the compile default.
 	// Only RRL queries invert, so other methods reject a non-empty value
@@ -82,6 +76,43 @@ func (cm *CompiledModel) normalize(q Query) Query {
 	return q
 }
 
+// check normalizes a request and rejects a malformed one — invalid times,
+// an unknown measure or method, a bounds request on a method without
+// certified bounds, a misplaced or unknown inverter, or an already-ended
+// context — before the measure lookup. QueryCtx, QueryBoundsCtx and the
+// batch planner share it, so a row that can never be served never creates,
+// caches or evicts a CompiledMeasure view.
+func (cm *CompiledModel) check(ctx context.Context, q Query, bounds bool) (Query, error) {
+	q = cm.normalize(q)
+	if err := core.CheckTimes(q.Times); err != nil {
+		return q, err
+	}
+	if q.Measure != MeasureTRR && q.Measure != MeasureMRR {
+		return q, fmt.Errorf("regenrand: unknown measure %q", q.Measure)
+	}
+	switch q.Method {
+	case MethodRR, MethodRRL:
+	case MethodSR, MethodRSD:
+		if bounds {
+			return q, fmt.Errorf("regenrand: method %q does not produce certified bounds (use RR or RRL)", q.Method)
+		}
+	default:
+		return q, fmt.Errorf("regenrand: unknown method %q", q.Method)
+	}
+	if q.Inverter != "" {
+		if q.Method != MethodRRL {
+			return q, fmt.Errorf("regenrand: Inverter %q set on method %q (only RRL inverts)", q.Inverter, q.Method)
+		}
+		if _, err := laplace.ForName(q.Inverter); err != nil {
+			return q, fmt.Errorf("regenrand: %w", err)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return q, core.Cancelled(err, 0, 0)
+	}
+	return q, nil
+}
+
 // Query evaluates one request against the compiled artifacts. It is safe
 // to call from many goroutines: shared per-measure caches are synchronized
 // internally, and the result is a pure function of the request — the same
@@ -100,18 +131,9 @@ func (cm *CompiledModel) Query(q Query) ([]Result, error) {
 // and an identical retry resumes from it, returning results
 // bitwise-identical to an uncancelled run.
 func (cm *CompiledModel) QueryCtx(ctx context.Context, q Query) ([]Result, error) {
-	q = cm.normalize(q)
-	if err := core.CheckTimes(q.Times); err != nil {
+	q, err := cm.check(ctx, q, false)
+	if err != nil {
 		return nil, err
-	}
-	if q.Measure != MeasureTRR && q.Measure != MeasureMRR {
-		return nil, fmt.Errorf("regenrand: unknown measure %q", q.Measure)
-	}
-	if err := q.validateInverter(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, core.Cancelled(err, 0, 0)
 	}
 	m, err := cm.measureByKeyCtx(ctx, rewardsKey(q.Rewards), q.Rewards)
 	if err != nil {
@@ -119,46 +141,21 @@ func (cm *CompiledModel) QueryCtx(ctx context.Context, q Query) ([]Result, error
 	}
 	switch q.Method {
 	case MethodSR:
-		return m.lockedRun(ctx, q, &m.srMu, func() (core.Solver, error) {
-			s, err := m.srSolver()
-			return s, err
-		})
+		return m.lockedRun(ctx, q, &m.srMu, m.srSolver)
 	case MethodRSD:
-		return m.lockedRun(ctx, q, &m.rsdMu, func() (core.Solver, error) {
-			s, err := m.rsdSolver()
-			return s, err
-		})
-	case MethodAU:
-		return m.lockedRun(ctx, q, &m.auMu, func() (core.Solver, error) {
-			s, err := m.auSolver()
-			return s, err
-		})
-	case MethodMS:
-		// MS block caching is call-history-dependent, so each query gets a
-		// fresh solver over the shared DTMC: deterministic, order-free.
-		s, err := m.msSolver(q.BlockSteps)
-		if err != nil {
-			return nil, err
-		}
-		if q.Measure == MeasureMRR {
-			return s.MRR(q.Times) // returns the method's documented error
-		}
-		return s.TRR(q.Times)
-	case MethodRR, MethodRRL:
-		// The certified horizon is the max time, rounded up to the compile's
-		// horizon grid when bucketing is on (see horizon.go) — near-miss
-		// horizons then share one cached series.
-		eval, err := m.regenEvaluatorCtx(ctx, q.Method, cm.bucketHorizon(core.MaxTime(q.Times)), q.Inverter)
-		if err != nil {
-			return nil, err
-		}
-		if q.Measure == MeasureMRR {
-			return eval.MRRCtx(ctx, q.Times)
-		}
-		return eval.TRRCtx(ctx, q.Times)
-	default:
-		return nil, fmt.Errorf("regenrand: unknown method %q", q.Method)
+		return m.lockedRun(ctx, q, &m.rsdMu, m.rsdSolver)
 	}
+	// RR or RRL. The certified horizon is the max time, rounded up to the
+	// compile's horizon grid when bucketing is on (see horizon.go) —
+	// near-miss horizons then share one cached series.
+	eval, err := m.regenEvaluatorCtx(ctx, q.Method, cm.bucketHorizon(core.MaxTime(q.Times)), q.Inverter)
+	if err != nil {
+		return nil, err
+	}
+	if q.Measure == MeasureMRR {
+		return eval.MRRCtx(ctx, q.Times)
+	}
+	return eval.TRRCtx(ctx, q.Times)
 }
 
 // measureEvaluator is the method set the RR and RRL evaluators share; the
@@ -185,21 +182,6 @@ func (m *CompiledMeasure) regenEvaluatorCtx(ctx context.Context, method Method, 
 		return m.rrEvaluator(series)
 	}
 	return m.rrlEvaluator(series, inverter)
-}
-
-// validateInverter rejects a per-query backend override on methods that
-// never invert, and unknown backend names.
-func (q Query) validateInverter() error {
-	if q.Inverter == "" {
-		return nil
-	}
-	if q.Method != MethodRRL {
-		return fmt.Errorf("regenrand: Inverter %q set on method %q (only RRL inverts)", q.Inverter, q.Method)
-	}
-	if _, err := laplace.ForName(q.Inverter); err != nil {
-		return fmt.Errorf("regenrand: %w", err)
-	}
-	return nil
 }
 
 // lockedRun serializes access to one shared single-caller solver under its
@@ -324,21 +306,9 @@ func (cm *CompiledModel) QueryBounds(q Query) ([]Bounds, error) {
 // QueryBoundsCtx is QueryBounds under a context; see QueryCtx for the
 // cancellation contract.
 func (cm *CompiledModel) QueryBoundsCtx(ctx context.Context, q Query) ([]Bounds, error) {
-	q = cm.normalize(q)
-	if err := core.CheckTimes(q.Times); err != nil {
+	q, err := cm.check(ctx, q, true)
+	if err != nil {
 		return nil, err
-	}
-	if q.Measure != MeasureTRR && q.Measure != MeasureMRR {
-		return nil, fmt.Errorf("regenrand: unknown measure %q", q.Measure)
-	}
-	if q.Method != MethodRR && q.Method != MethodRRL {
-		return nil, fmt.Errorf("regenrand: method %q does not produce certified bounds (use RR or RRL)", q.Method)
-	}
-	if err := q.validateInverter(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, core.Cancelled(err, 0, 0)
 	}
 	m, err := cm.measureByKeyCtx(ctx, rewardsKey(q.Rewards), q.Rewards)
 	if err != nil {

@@ -21,13 +21,9 @@ func concurrencyQueries(model *regenrand.CTMC) []regenrand.Query {
 	var qs []regenrand.Query
 	for _, rewards := range [][]float64{ua, perf} {
 		for _, method := range []regenrand.Method{
-			regenrand.MethodSR, regenrand.MethodRSD, regenrand.MethodAU,
-			regenrand.MethodMS, regenrand.MethodRR, regenrand.MethodRRL,
+			regenrand.MethodSR, regenrand.MethodRSD, regenrand.MethodRR, regenrand.MethodRRL,
 		} {
 			for _, measure := range []regenrand.MeasureKind{regenrand.MeasureTRR, regenrand.MeasureMRR} {
-				if method == regenrand.MethodMS && measure == regenrand.MeasureMRR {
-					continue
-				}
 				for _, ts := range [][]float64{{1, 20}, {0.5, 100}, {7}} {
 					qs = append(qs, regenrand.Query{
 						Method: method, Measure: measure, Rewards: rewards, Times: ts,

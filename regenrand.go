@@ -3,13 +3,11 @@ package regenrand
 import (
 	"fmt"
 
-	"regenrand/internal/adaptive"
 	"regenrand/internal/core"
 	"regenrand/internal/ctmc"
 	"regenrand/internal/expm"
 	"regenrand/internal/laplace"
 	"regenrand/internal/linsolve"
-	"regenrand/internal/multistep"
 	"regenrand/internal/raid"
 	"regenrand/internal/regen"
 	"regenrand/internal/rrl"
@@ -96,32 +94,6 @@ func NewRSD(model *CTMC, rewards []float64, opts Options) (Solver, error) {
 	return ssd.NewFromDTMC(model, cm.dtmc, rewards, cm.opts)
 }
 
-// NewAU returns an adaptive-uniformization solver (van Moorsel & Sanders),
-// the related-work method of the paper's introduction: the randomization
-// rate adapts to the states reachable after k jumps, which needs far fewer
-// steps than SR at small and medium mission times on models whose rates
-// grow away from the initial state.
-func NewAU(model *CTMC, rewards []float64, opts Options) (Solver, error) {
-	cm, err := Compile(model, CompileOptions{Options: opts, RegenState: NoRegen, DisableRetention: true})
-	if err != nil {
-		return nil, err
-	}
-	return adaptive.NewShared(model, rewards, cm.opts, cm.adjacency())
-}
-
-// NewMultistep returns a multistep-randomization solver (Reibman &
-// Trivedi), the §1 related-work method that materializes the transition
-// matrix over a time block — at the cost of dense fill-in, which is why the
-// paper moves past it. blockSteps fixes the randomization steps per block
-// (0 = automatic balance point). TRR only.
-func NewMultistep(model *CTMC, rewards []float64, blockSteps int, opts Options) (Solver, error) {
-	cm, err := Compile(model, CompileOptions{Options: opts, RegenState: NoRegen, DisableRetention: true})
-	if err != nil {
-		return nil, err
-	}
-	return multistep.NewFromDTMC(model, cm.dtmc, rewards, blockSteps, cm.opts)
-}
-
 // NewRR returns the original regenerative-randomization solver with the
 // given regenerative state (normally the most frequently visited state;
 // the paper uses the fault-free initial state).
@@ -137,7 +109,7 @@ func NewRR(model *CTMC, rewards []float64, regenState int, opts Options) (Solver
 	if err != nil {
 		return nil, err
 	}
-	return regen.NewWithSource(m.seriesSource(), cm.opts)
+	return regen.NewWithSource(m.binding, cm.opts)
 }
 
 // NewRRL returns the paper's regenerative randomization with Laplace
@@ -161,7 +133,7 @@ func NewRRLWithConfig(model *CTMC, rewards []float64, regenState int, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	return rrl.NewWithSource(m.seriesSource(), m.rho0, cm.opts, conf)
+	return rrl.NewWithSource(m.binding, m.rho0, cm.opts, conf)
 }
 
 // BuildRegenSeries exposes the regenerative-randomization characterization
