@@ -80,7 +80,8 @@
 // fully validated at the trust boundary — non-finite or negative rates,
 // fractional or out-of-range indices, and non-normalized initial
 // distributions answer 400 with the offending field named; they never reach
-// the engine.
+// the engine. A request field the server does not know answers 400 naming
+// it, so a misspelled or retired option is never served as if absent.
 //
 // # Serving lifecycle
 //
@@ -190,22 +191,19 @@
 //	                  as -snapshot-dir behind the hedge/retry/breaker stack;
 //	                  mutually exclusive with -snapshot-dir (empty =
 //	                  disabled)
-//	-selfcheck        start on an ephemeral port, drive a sample compile +
-//	                  concurrent batch query over HTTP, exit 0/1 (CI smoke)
-//	-chaos            with -selfcheck: additionally inject faults (stepping
-//	                  delays, inversion errors, compile panics, snapshot
-//	                  store/decode failures, object-store network faults)
-//	                  at the engine's fault points and assert the server
-//	                  stays live, bad rows fail cleanly, kill-and-restart
-//	                  recovery is bitwise-identical, corruption is
-//	                  quarantined, not served, and the circuit breaker
-//	                  opens against a dead store and recovers
+//
+// # Tests
+//
+// go test ./cmd/regenserve drives the HTTP surface end to end over
+// httptest servers: compile and query answers against SR, validation,
+// /healthz, /varz and drain, injected engine faults, admission shedding,
+// snapshot kill-and-restart and corruption, and object-store faults through
+// the breaker's open, probe and close.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -236,8 +234,6 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace for in-flight requests")
 	snapshotDir := flag.String("snapshot-dir", "", "directory for durable compiled-model snapshots (empty = disabled)")
 	snapshotURL := flag.String("snapshot-url", "", "S3-compatible object store for snapshots, http[s]://host[:port]/bucket[/prefix] (empty = disabled; credentials via REGENRAND_S3_ACCESS_KEY/SECRET_KEY)")
-	selfcheck := flag.Bool("selfcheck", false, "start on an ephemeral port, run a sample compile + concurrent batch query, exit")
-	chaos := flag.Bool("chaos", false, "with -selfcheck: inject engine faults and assert recovery (fault-injection smoke)")
 	flag.Parse()
 
 	srv := newServer(serverConfig{
@@ -257,16 +253,6 @@ func main() {
 			DegradeGrace:   *degradeGrace,
 		},
 	})
-	mux := newMux(srv)
-
-	if *selfcheck {
-		if err := runSelfcheck(srv, mux, *chaos); err != nil {
-			fmt.Fprintf(os.Stderr, "regenserve selfcheck: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("regenserve selfcheck: OK")
-		return
-	}
 
 	if *snapshotDir != "" && *snapshotURL != "" {
 		log.Fatalf("regenserve: -snapshot-dir and -snapshot-url are mutually exclusive")
@@ -282,7 +268,7 @@ func main() {
 		}
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: mux}
+	hs := &http.Server{Addr: *addr, Handler: newMux(srv)}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("regenserve: listening on %s (cache %d entries / %d bytes, %d compile + %d query slots)",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -407,9 +409,12 @@ func (s *server) guard(class *admission, inFlight *atomic.Int64, h http.HandlerF
 }
 
 // decode parses the JSON body, distinguishing an oversized body (413) from
-// a malformed one (400).
+// a malformed one (400). Unknown fields are malformed: a misspelled or
+// retired option would otherwise be served as if it were absent.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
@@ -436,6 +441,34 @@ func (s *server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	return context.WithTimeout(r.Context(), d)
 }
 
+// compile builds a wire model and compiles it through the shared cache. It
+// answers a failure itself — 400 for a bad model or options, 504 past the
+// deadline, 503 when the client went away — and then returns nil.
+func (s *server) compile(ctx context.Context, w http.ResponseWriter, m *modelJSON, copts regenrand.CompileOptions) *regenrand.CompiledModel {
+	model, err := s.buildModel(m)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "building model: %v", err)
+		return nil
+	}
+	if copts.HorizonBuckets < 0 {
+		writeError(w, http.StatusBadRequest, "horizon_buckets: %d, want >= 0", copts.HorizonBuckets)
+		return nil
+	}
+	cm, err := s.cache.CompileCtx(ctx, model, copts)
+	switch {
+	case err == nil:
+		return cm
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeouts.Add(1)
+		writeError(w, http.StatusGatewayTimeout, "compiling: %v", err)
+	case errors.Is(err, context.Canceled):
+		writeError(w, http.StatusServiceUnavailable, "compiling: %v", err)
+	default:
+		writeError(w, http.StatusBadRequest, "compiling: %v", err)
+	}
+	return nil
+}
+
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -445,33 +478,14 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	model, err := s.buildModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "building model: %v", err)
-		return
-	}
-	if req.HorizonBuckets < 0 {
-		writeError(w, http.StatusBadRequest, "horizon_buckets: %d, want >= 0", req.HorizonBuckets)
-		return
-	}
 	copts := compileOptions(req.RegenState, req.Epsilon, req.DisableRetention, req.Compact, req.HorizonBuckets, req.Inverter)
 	if req.PrebuildHorizon > 0 && !math.IsInf(req.PrebuildHorizon, 0) && !math.IsNaN(req.PrebuildHorizon) {
 		copts.PrebuildHorizon = req.PrebuildHorizon
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	cm, err := s.cache.CompileCtx(ctx, model, copts)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "compiling: %v", err)
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			writeError(w, http.StatusServiceUnavailable, "compiling: %v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "compiling: %v", err)
+	cm := s.compile(ctx, w, req.Model, copts)
+	if cm == nil {
 		return
 	}
 	writeJSON(w, http.StatusOK, compileResponse{
@@ -503,26 +517,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case req.Model != nil:
-		model, err := s.buildModel(req.Model)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "building model: %v", err)
-			return
-		}
-		if req.HorizonBuckets < 0 {
-			writeError(w, http.StatusBadRequest, "horizon_buckets: %d, want >= 0", req.HorizonBuckets)
-			return
-		}
-		cm, err = s.cache.CompileCtx(ctx, model, compileOptions(req.RegenState, req.Epsilon, req.DisableRetention, req.Compact, req.HorizonBuckets, req.Inverter))
-		if err != nil {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				s.timeouts.Add(1)
-				writeError(w, http.StatusGatewayTimeout, "compiling: %v", err)
-			case errors.Is(err, context.Canceled):
-				writeError(w, http.StatusServiceUnavailable, "compiling: %v", err)
-			default:
-				writeError(w, http.StatusBadRequest, "compiling: %v", err)
-			}
+		cm = s.compile(ctx, w, req.Model, compileOptions(req.RegenState, req.Epsilon, req.DisableRetention, req.Compact, req.HorizonBuckets, req.Inverter))
+		if cm == nil {
 			return
 		}
 	default:
@@ -596,48 +592,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.degradeRows(r, cm, req, &resp)
 		}
 	}
-	discloseBuckets(cm, req, &resp)
-	discloseInverters(cm, req, &resp)
+	disclose(cm, req, &resp)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// discloseBuckets annotates every successful RR/RRL row whose certified
-// horizon was rounded up by horizon bucketing with that grid horizon —
-// bucketed answers differ from an unbucketed compile's (more accurate,
-// still certified), so each affected row says so. Degraded rows are skipped:
-// their retry ran on a separate loose-epsilon compile without bucketing.
-func discloseBuckets(cm *regenrand.CompiledModel, req queryRequest, resp *queryResponse) {
-	for i, q := range req.Queries {
-		row := &resp.Results[i]
-		if row.Error != "" || row.Degraded || len(q.Times) == 0 {
-			continue
-		}
-		method := regenrand.Method(q.Method)
-		if method == "" && cm.RegenState() != regenrand.NoRegen {
-			method = regenrand.MethodRRL // the engine's default on regenerative compiles
-		}
-		if method != regenrand.MethodRR && method != regenrand.MethodRRL {
-			continue
-		}
-		maxT := q.Times[0]
-		for _, t := range q.Times[1:] {
-			if t > maxT {
-				maxT = t
-			}
-		}
-		if h, bucketed := cm.EffectiveHorizon(maxT); bucketed {
-			row.BucketedHorizon = h
-		}
-	}
-}
-
-// discloseInverters annotates every successful RRL row with the Laplace
-// inversion backend that served it — the query's override when set, the
-// compile's (normalized) backend otherwise. The backends produce different,
-// individually certified answers, so each row names its own. Degraded rows
-// are included: the degraded retry carries the compile's RRL config and the
-// row's own override, so the effective backend is the same.
-func discloseInverters(cm *regenrand.CompiledModel, req queryRequest, resp *queryResponse) {
+// disclose annotates every successful row with what served it. An RRL row
+// names its Laplace inversion backend — the query's override when set, the
+// compile's (normalized) backend otherwise — because the backends give
+// different, individually certified answers. An RR/RRL row whose certified
+// horizon was rounded up by horizon bucketing names that grid horizon: a
+// bucketed answer differs from an unbucketed compile's (more accurate,
+// still certified). A degraded row keeps its inverter (the retry carries
+// the compile's RRL config and the row's override) but has no bucketed
+// horizon (the retry ran on a loose-epsilon compile without bucketing).
+func disclose(cm *regenrand.CompiledModel, req queryRequest, resp *queryResponse) {
 	for i, q := range req.Queries {
 		row := &resp.Results[i]
 		if row.Error != "" {
@@ -647,13 +615,13 @@ func discloseInverters(cm *regenrand.CompiledModel, req queryRequest, resp *quer
 		if method == "" && cm.RegenState() != regenrand.NoRegen {
 			method = regenrand.MethodRRL // the engine's default on regenerative compiles
 		}
-		if method != regenrand.MethodRRL {
-			continue // only RRL inverts
+		if method == regenrand.MethodRRL {
+			row.Inverter = cmp.Or(q.Inverter, cm.RRLConfig().Inverter)
 		}
-		if q.Inverter != "" {
-			row.Inverter = q.Inverter
-		} else {
-			row.Inverter = cm.RRLConfig().Inverter
+		if (method == regenrand.MethodRR || method == regenrand.MethodRRL) && !row.Degraded && len(q.Times) > 0 {
+			if h, bucketed := cm.EffectiveHorizon(slices.Max(q.Times)); bucketed {
+				row.BucketedHorizon = h
+			}
 		}
 	}
 }

@@ -240,8 +240,8 @@
 // (REGENRAND_FAULTPOINTS arms them from the environment, rejecting unknown
 // site names at parse time). Worker-pool and cache-constructor panics are
 // recovered into errors — a poisoned reward vector fails its query, not the
-// process — which is what lets cmd/regenserve run a chaos selfcheck
-// asserting the server stays live, post-fault answers are
+// process — which is what lets cmd/regenserve's tests assert that the
+// server stays live under injected faults, post-fault answers are
 // bitwise-identical to a quiet run, and a kill-and-restart over the
 // snapshot directory resumes bitwise where the dead process stopped.
 //

@@ -121,10 +121,3 @@ func (p *Plot) Render(width, height int) string {
 	fmt.Fprintf(&sb, "%11s(%s, log–log; y: %s)\n", "", p.XLabel, p.YLabel)
 	return sb.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -62,10 +62,6 @@ type Result struct {
 	// Abscissae is the number of transform evaluations used by the Laplace
 	// inversion (RRL only; 0 for other methods).
 	Abscissae int
-	// Wall is the wall-clock time attributable to this time point, where
-	// the solver can meaningfully apportion it (shared stepping passes are
-	// charged to the largest time point).
-	Wall time.Duration
 }
 
 // Stats aggregates cost counters over one solver invocation.

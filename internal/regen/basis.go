@@ -324,8 +324,43 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 		return bd.seriesByExtension(ctx, horizon)
 	}
 	lam := b.dtmc.Lambda * horizon
+	budget, err := b.truncBudget(bd.rmax)
+	if err != nil {
+		return nil, err
+	}
+	s := bd.newSeries(horizon)
 
-	s := &Series{
+	mainPred := func(a []float64, level int) bool {
+		return truncErrS(bd.rmax, a, level, lam) <= budget
+	}
+	snap, err := b.extend(ctx, b.main, mainPred)
+	if err != nil {
+		return nil, err
+	}
+	K := truncLevel(snap.a, mainPred)
+	b.fillMany([]*Binding{bd}, snap, []int{K}, false)
+	s.cut(false, K, snap.a, bd.coefficients(false, K), snap.q, snap.v)
+
+	if b.alphaR < 1 {
+		primePred := func(a []float64, level int) bool {
+			return truncErrP(bd.rmax, a, level, lam) <= budget
+		}
+		psnap, err := b.extend(ctx, b.prime, primePred)
+		if err != nil {
+			return nil, err
+		}
+		L := truncLevel(psnap.a, primePred)
+		b.fillMany([]*Binding{bd}, psnap, []int{L}, true)
+		s.cut(true, L, psnap.a, bd.coefficients(true, L), psnap.q, psnap.v)
+	}
+	return s, nil
+}
+
+// newSeries is the header of a series of the bound rewards certified for
+// horizon, before its chains are cut.
+func (bd *Binding) newSeries(horizon float64) *Series {
+	b := bd.basis
+	return &Series{
 		Lambda:           b.dtmc.Lambda,
 		Regen:            b.regenState,
 		AlphaR:           b.alphaR,
@@ -336,51 +371,6 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 		Horizon:          horizon,
 		L:                -1,
 	}
-	budget, err := b.truncBudget(bd.rmax)
-	if err != nil {
-		return nil, err
-	}
-
-	mainPred := func(a []float64, level int) bool {
-		return truncErrS(bd.rmax, a, level, lam) <= budget
-	}
-	snap, err := b.extend(ctx, b.main, mainPred)
-	if err != nil {
-		return nil, err
-	}
-	depth := len(snap.a) - 1
-	K := sort.Search(depth, func(cand int) bool { return mainPred(snap.a, cand) })
-	s.K = K
-	s.A = snap.a[:K+1]
-	s.Q = snap.q[:min(K, len(snap.q))]
-	s.V = make([][]float64, len(snap.v))
-	for i := range snap.v {
-		s.V[i] = snap.v[i][:min(K, len(snap.v[i]))]
-	}
-	b.fillMany([]*Binding{bd}, snap, []int{K}, false)
-	s.B = bd.coefficients(false, K)
-
-	if b.alphaR < 1 {
-		primePred := func(a []float64, level int) bool {
-			return truncErrP(bd.rmax, a, level, lam) <= budget
-		}
-		psnap, err := b.extend(ctx, b.prime, primePred)
-		if err != nil {
-			return nil, err
-		}
-		pdepth := len(psnap.a) - 1
-		L := sort.Search(pdepth, func(cand int) bool { return primePred(psnap.a, cand) })
-		s.L = L
-		s.AP = psnap.a[:L+1]
-		s.QP = psnap.q[:min(L, len(psnap.q))]
-		s.VP = make([][]float64, len(psnap.v))
-		for i := range psnap.v {
-			s.VP[i] = psnap.v[i][:min(L, len(psnap.v[i]))]
-		}
-		b.fillMany([]*Binding{bd}, psnap, []int{L}, true)
-		s.BP = bd.coefficients(true, L)
-	}
-	return s, nil
 }
 
 // ensureIncLocked lazily creates the binding-owned reward-carrying chains of
@@ -453,17 +443,7 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 	defer bd.mu.Unlock()
 	bd.ensureIncLocked()
 
-	s := &Series{
-		Lambda:           b.dtmc.Lambda,
-		Regen:            b.regenState,
-		AlphaR:           b.alphaR,
-		Absorbing:        b.absorbing,
-		RewardsAbsorbing: bd.rAbs,
-		RMax:             bd.rmax,
-		Eps:              b.opts.Epsilon,
-		Horizon:          horizon,
-		L:                -1,
-	}
+	s := bd.newSeries(horizon)
 	mainPred := func(a []float64, level int) bool {
 		return truncErrS(bd.rmax, a, level, lam) <= budget
 	}
@@ -471,18 +451,7 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 		return nil, err
 	}
 	cs := bd.incMain.cs
-	depth := cs.stepIndex()
-	K := sort.Search(depth, func(cand int) bool { return mainPred(cs.a, cand) })
-	s.K = K
-	s.A = cs.a[: K+1 : K+1]
-	s.B = bd.incMain.b(0)[: K+1 : K+1]
-	nq := min(K, len(cs.q))
-	s.Q = cs.q[:nq:nq]
-	s.V = make([][]float64, len(cs.v))
-	for i := range cs.v {
-		nv := min(K, len(cs.v[i]))
-		s.V[i] = cs.v[i][:nv:nv]
-	}
+	s.cut(false, truncLevel(cs.a, mainPred), cs.a, bd.incMain.b(0), cs.q, cs.v)
 
 	if b.alphaR < 1 {
 		primePred := func(a []float64, level int) bool {
@@ -492,18 +461,7 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 			return nil, err
 		}
 		ps := bd.incPrime.cs
-		pdepth := ps.stepIndex()
-		L := sort.Search(pdepth, func(cand int) bool { return primePred(ps.a, cand) })
-		s.L = L
-		s.AP = ps.a[: L+1 : L+1]
-		s.BP = bd.incPrime.b(0)[: L+1 : L+1]
-		npq := min(L, len(ps.q))
-		s.QP = ps.q[:npq:npq]
-		s.VP = make([][]float64, len(ps.v))
-		for i := range ps.v {
-			nv := min(L, len(ps.v[i]))
-			s.VP[i] = ps.v[i][:nv:nv]
-		}
+		s.cut(true, truncLevel(ps.a, primePred), ps.a, bd.incPrime.b(0), ps.q, ps.v)
 	}
 	return s, nil
 }

@@ -743,42 +743,45 @@ func buildMany(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList 
 		steps++
 	}
 
-	for ri := range out {
-		s := out[ri]
+	for ri, s := range out {
 		rmax := rmaxs[ri]
-		depth := main.cs.stepIndex()
-		K := sort.Search(depth, func(cand int) bool {
-			return truncErrS(rmax, main.cs.a, cand, lam) <= budget
+		K := truncLevel(main.cs.a, func(a []float64, level int) bool {
+			return truncErrS(rmax, a, level, lam) <= budget
 		})
-		s.K = K
-		s.A = main.cs.a[:K+1]
-		s.B = main.b(ri)[:K+1]
-		s.Q = main.cs.q[:min(K, len(main.cs.q))]
-		s.V = make([][]float64, len(absorbing))
-		for i := range s.V {
-			s.V[i] = main.cs.v[i][:min(K, len(main.cs.v[i]))]
-		}
+		s.cut(false, K, main.cs.a, main.b(ri), main.cs.q, main.cs.v)
 		if prime != nil {
-			pdepth := prime.cs.stepIndex()
-			L := sort.Search(pdepth, func(cand int) bool {
-				return truncErrP(rmax, prime.cs.a, cand, lam) <= budget
+			L := truncLevel(prime.cs.a, func(a []float64, level int) bool {
+				return truncErrP(rmax, a, level, lam) <= budget
 			})
-			s.L = L
-			s.AP = prime.cs.a[:L+1]
-			s.BP = prime.b(ri)[:L+1]
-			s.QP = prime.cs.q[:min(L, len(prime.cs.q))]
-			s.VP = make([][]float64, len(absorbing))
-			for i := range s.VP {
-				s.VP[i] = prime.cs.v[i][:min(L, len(prime.cs.v[i]))]
-			}
+			s.cut(true, L, prime.cs.a, prime.b(ri), prime.cs.q, prime.cs.v)
 		}
 	}
 	return out, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// truncLevel is the truncation level of a chain recorded to depth len(a)-1:
+// the least level whose truncation bound pred certifies. The bound is
+// monotone in the level, so the binary search lands on the same level
+// however deep the chain was stepped.
+func truncLevel(a []float64, pred func(a []float64, level int) bool) int {
+	return sort.Search(len(a)-1, func(level int) bool { return pred(a, level) })
+}
+
+// cut publishes one chain's statistics at truncation level k into s — the
+// primed chain's fields when prime is set: a and b keep k+1 entries, q and
+// each v[i] at most k. Every slice is capacity-capped, so a later extension
+// appending to the shared chain arrays never reaches a published series.
+func (s *Series) cut(prime bool, k int, a, b, q []float64, v [][]float64) {
+	nq := min(k, len(q))
+	vk := make([][]float64, len(v))
+	for i := range v {
+		nv := min(k, len(v[i]))
+		vk[i] = v[i][:nv:nv]
 	}
-	return b
+	ak, bk, qk := a[:k+1:k+1], b[:k+1:k+1], q[:nq:nq]
+	if prime {
+		s.L, s.AP, s.BP, s.QP, s.VP = k, ak, bk, qk, vk
+	} else {
+		s.K, s.A, s.B, s.Q, s.V = k, ak, bk, qk, vk
+	}
 }

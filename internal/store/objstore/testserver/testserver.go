@@ -6,9 +6,10 @@
 // answer 5xx, serve corrupted bytes, or play dead entirely.
 //
 // It exists so the network-robustness story — retries, hedged reads, the
-// circuit breaker, quarantine-over-network, degrade-to-recompile — is
-// testable hermetically in unit tests and the regenserve chaos selfcheck,
-// with no real network and no external service.
+// circuit breaker, quarantine-over-network, degrade-to-recompile — can be
+// tested hermetically, with no real network and no external service. The
+// objstore unit tests, regenserve's object-store tests and the engine's
+// two-node test use it; no production binary links it.
 package testserver
 
 import (

@@ -9,15 +9,19 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"regenrand"
 	"regenrand/internal/ctmc"
 	"regenrand/internal/faultpoint"
 	"regenrand/internal/snapshot"
 	"regenrand/internal/store"
+	"regenrand/internal/store/objstore"
+	"regenrand/internal/store/objstore/testserver"
 )
 
 func bitsEqualBounds(t *testing.T, ctx string, got, want []regenrand.Bounds) {
@@ -481,4 +485,86 @@ func TestCompileCacheSnapshotFaultFallback(t *testing.T) {
 			t.Errorf("SnapshotWriteFailures advanced by %d, want ≥ 1", d)
 		}
 	})
+}
+
+// Two nodes sharing one object store: the second warm-starts the blob the
+// first compiled and answers bitwise without compiling, and when both
+// compile a new content key at once the conditional write-back stores one
+// object.
+func TestTwoNodeObjectStore(t *testing.T) {
+	ts := testserver.New()
+	t.Cleanup(ts.Close)
+	cfg, err := objstore.ParseURL(ts.URL() + "/snapbucket/two-node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newNode := func() *regenrand.CompileCache {
+		client, err := objstore.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := regenrand.NewCompileCache(8)
+		cc.SetSnapshotStore(store.WithRetryPolicy(client, store.RetryPolicy{Attempts: 3, Backoff: 5 * time.Millisecond}), t.Logf)
+		t.Cleanup(cc.SnapshotWait)
+		return cc
+	}
+	model, ua := raidTestModel(t, 2)
+	copts := regenrand.CompileOptions{Options: regenrand.DefaultOptions()}
+	q := regenrand.Query{Method: regenrand.MethodRRL, Measure: regenrand.MeasureTRR, Rewards: ua, Times: []float64{1, 10, 100}}
+
+	node1 := newNode()
+	cm1, err := node1.Compile(model, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cm1.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node1.SnapshotWait()
+	if got := ts.CountersSnapshot().Creates; got != 1 {
+		t.Fatalf("node 1 wrote %d objects, want 1", got)
+	}
+
+	node2 := newNode()
+	if loaded, failed, err := node2.WarmStart(context.Background()); err != nil || loaded < 1 || failed != 0 {
+		t.Fatalf("node 2 warm start: %d loaded, %d failed, err %v; want >= 1 loaded", loaded, failed, err)
+	}
+	cm2, err := node2.Compile(model, copts) // served by the warm-started cache
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cm2.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("node 2 answered %+v, node 1 %+v", got, want)
+	}
+
+	copts.Options.Epsilon = 1e-8
+	before := ts.CountersSnapshot().Creates
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, node := range []*regenrand.CompileCache{node1, node2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = node.Compile(model, copts)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("racing compile on node %d: %v", i+1, err)
+		}
+	}
+	node1.SnapshotWait()
+	node2.SnapshotWait()
+	if d := ts.CountersSnapshot().Creates - before; d != 1 {
+		t.Fatalf("racing write-back created %d objects, want exactly 1", d)
+	}
+	if got := ts.ObjectCount(); got != 2 {
+		t.Fatalf("store holds %d objects, want 2", got)
+	}
 }
