@@ -81,14 +81,22 @@
 // fractional or out-of-range indices, and non-normalized initial
 // distributions answer 400 with the offending field named; they never reach
 // the engine. A request field the server does not know answers 400 naming
-// it, so a misspelled or retired option is never served as if absent.
+// it, so a misspelled or retired option is never served as if absent. A
+// member whose value is null still counts as absent, and keys match the
+// field names case-insensitively. Bodies are decoded in one pass (wire.go)
+// that also answers 400, naming the field or the byte offset, for a null
+// inside an array (a null rate or reward is never read as 0), a duplicate
+// key, anything but whitespace after the top-level object, and a string
+// holding an escape sequence, a control byte or a non-ASCII byte.
 //
 // # Serving lifecycle
 //
 // Every request passes a hardening pipeline before any engine work:
 //
 //  1. Drain check — after SIGTERM/SIGINT the server stops admitting
-//     (503 + Retry-After) while in-flight requests finish, then exits.
+//     compiles and queries (503 + Retry-After) while in-flight requests
+//     finish, then exits; /healthz answers 503 with "draining": true and
+//     /varz stays scrapable meanwhile.
 //  2. Admission — compiles and queries hold separate concurrency slots
 //     (-compiles/-queries) with a bounded wait queue (-queue, -queue-wait);
 //     overflow is shed immediately with 429 + Retry-After instead of
@@ -198,7 +206,9 @@
 // httptest servers: compile and query answers against SR, validation,
 // /healthz, /varz and drain, injected engine faults, admission shedding,
 // snapshot kill-and-restart and corruption, and object-store faults through
-// the breaker's open, probe and close.
+// the breaker's open, probe and close. FuzzWireRequest holds the body
+// decoder to encoding/json (go test -fuzz '^FuzzWireRequest$' for a live
+// run), and BenchmarkDecodeRequest times the two against each other.
 package main
 
 import (
@@ -310,7 +320,8 @@ func attachSnapshots(srv *server, dir string) error {
 		return err
 	}
 	srv.cache.SetSnapshotStore(store.WithRetryPolicy(st, store.RetryPolicy{Attempts: 3, Backoff: 25 * time.Millisecond}), log.Printf)
-	return warmStart(srv, dir)
+	warmStart(srv, dir)
+	return nil
 }
 
 // attachSnapshotURL connects an S3-compatible object store behind the full
@@ -327,7 +338,8 @@ func attachSnapshotURL(srv *server, rawURL string) error {
 		return err
 	}
 	srv.cache.SetSnapshotStore(st, log.Printf)
-	return warmStart(srv, rawURL)
+	warmStart(srv, rawURL)
+	return nil
 }
 
 // newObjstoreStack builds the production wrapper composition over an
@@ -357,14 +369,13 @@ func newObjstoreStack(rawURL string) (store.Store, error) {
 // warmStart loads every verifiable snapshot from the attached store. A store
 // that cannot even list (down at boot) is logged, not fatal: the server
 // boots cold and the breaker re-probes as traffic arrives.
-func warmStart(srv *server, from string) error {
+func warmStart(srv *server, from string) {
 	loaded, failed, err := srv.cache.WarmStart(context.Background())
 	if err != nil {
 		log.Printf("regenserve: warm start from %s unavailable (booting cold): %v", from, err)
-		return nil
+		return
 	}
 	log.Printf("regenserve: warm start from %s: %d snapshot(s) loaded, %d failed", from, loaded, failed)
-	return nil
 }
 
 // newServer wires the cache, admission classes, and limits together.

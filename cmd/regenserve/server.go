@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -18,11 +19,12 @@ import (
 	"regenrand"
 )
 
-// modelJSON is the wire encoding of a CTMC.
+// modelJSON is the wire encoding of a CTMC. Its rows are flat arrays: the
+// decoder checks their arity.
 type modelJSON struct {
-	States      int         `json:"states"`
-	Transitions [][]float64 `json:"transitions"`
-	Initial     [][]float64 `json:"initial"`
+	States      int          `json:"states"`
+	Transitions [][3]float64 `json:"transitions"`
+	Initial     [][2]float64 `json:"initial"`
 }
 
 // compileRequest configures one compile.
@@ -282,9 +284,6 @@ func (s *server) buildModel(m *modelJSON) (*regenrand.CTMC, error) {
 	}
 	b := regenrand.NewBuilder(m.States)
 	for i, tr := range m.Transitions {
-		if len(tr) != 3 {
-			return nil, fmt.Errorf("model.transitions[%d]: want [from, to, rate], got %d fields", i, len(tr))
-		}
 		from, to, rate := tr[0], tr[1], tr[2]
 		if from != math.Trunc(from) || math.IsNaN(from) {
 			return nil, fmt.Errorf("model.transitions[%d].from: %v is not an integer state index", i, from)
@@ -310,9 +309,6 @@ func (s *server) buildModel(m *modelJSON) (*regenrand.CTMC, error) {
 	}
 	var psum float64
 	for i, in := range m.Initial {
-		if len(in) != 2 {
-			return nil, fmt.Errorf("model.initial[%d]: want [state, probability], got %d fields", i, len(in))
-		}
 		st, p := in[0], in[1]
 		if st != math.Trunc(st) || math.IsNaN(st) {
 			return nil, fmt.Errorf("model.initial[%d].state: %v is not an integer state index", i, st)
@@ -372,7 +368,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // guard is the per-handler hardening middleware: request counting, drain
-// refusal, bounded admission (when class is non-nil), body size capping,
+// refusal and bounded admission (both when class is non-nil, so /healthz
+// and /varz still answer during a drain), body size capping,
 // and a panic barrier — a panicking handler answers 500 and the server
 // keeps serving (engine-level panics are already converted to errors by the
 // worker pool and the cache; this is the last line).
@@ -386,12 +383,12 @@ func (s *server) guard(class *admission, inFlight *atomic.Int64, h http.HandlerF
 				writeError(w, http.StatusInternalServerError, "internal error")
 			}
 		}()
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusServiceUnavailable, "server draining")
-			return
-		}
 		if class != nil {
+			if s.draining.Load() {
+				w.Header().Set("Retry-After", "5")
+				writeError(w, http.StatusServiceUnavailable, "server draining")
+				return
+			}
 			release, ok := class.acquire(r.Context())
 			if !ok {
 				s.shed.Add(1)
@@ -408,22 +405,27 @@ func (s *server) guard(class *admission, inFlight *atomic.Int64, h http.HandlerF
 	}
 }
 
-// decode parses the JSON body, distinguishing an oversized body (413) from
-// a malformed one (400). Unknown fields are malformed: a misspelled or
-// retired option would otherwise be served as if it were absent.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decode reads the body into one buffer sized from Content-Length (capped
+// at maxBody, which guard's MaxBytesReader enforces) and parses it,
+// distinguishing an oversized body (413) from a malformed one (400).
+func decode[T any](w http.ResponseWriter, r *http.Request, maxBody int64, parse func([]byte) (T, error)) (T, bool) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBody)) + bytes.MinRead)
+	_, err := buf.ReadFrom(r.Body)
+	var req T
+	if err == nil {
+		req, err = parse(buf.Bytes())
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
 		} else {
 			writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		}
-		return false
+		return req, false
 	}
-	return true
+	return req, true
 }
 
 // requestCtx derives this request's deadline: the client's timeout_ms when
@@ -474,8 +476,8 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req compileRequest
-	if !decode(w, r, &req) {
+	req, ok := decode(w, r, s.limits.MaxBody, decodeCompile)
+	if !ok {
 		return
 	}
 	copts := compileOptions(req.RegenState, req.Epsilon, req.DisableRetention, req.Compact, req.HorizonBuckets, req.Inverter)
@@ -501,8 +503,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req queryRequest
-	if !decode(w, r, &req) {
+	req, ok := decode(w, r, s.limits.MaxBody, decodeQuery)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
@@ -510,7 +512,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var cm *regenrand.CompiledModel
 	switch {
 	case req.ModelID != "":
-		var ok bool
 		cm, ok = s.cache.Get(req.ModelID)
 		if !ok {
 			writeError(w, http.StatusNotFound, "model %s not cached (evicted or never compiled); re-POST /v1/compile", req.ModelID)

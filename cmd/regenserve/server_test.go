@@ -160,11 +160,11 @@ func raidModel(t *testing.T) (*modelJSON, []float64) {
 	}
 	m := &modelJSON{States: rm.Chain.N()}
 	for _, tr := range rm.Chain.Transitions() {
-		m.Transitions = append(m.Transitions, []float64{float64(tr.Row), float64(tr.Col), tr.Val})
+		m.Transitions = append(m.Transitions, [3]float64{float64(tr.Row), float64(tr.Col), tr.Val})
 	}
 	for i, p := range rm.Chain.Initial() {
 		if p > 0 {
-			m.Initial = append(m.Initial, []float64{float64(i), p})
+			m.Initial = append(m.Initial, [2]float64{float64(i), p})
 		}
 	}
 	return m, rm.UnavailabilityRewards()
@@ -476,6 +476,11 @@ func TestValidation(t *testing.T) {
 		{"misspelled query field", "/v1/query", `{"model_id":"m","queries":[{"bound":true,"times":[1],"rewards":[]}]}`, `unknown field "bound"`},
 		{"retired block_steps", "/v1/query", `{"model_id":"m","queries":[{"block_steps":8,"times":[1],"rewards":[]}]}`, `unknown field "block_steps"`},
 		{"unknown compile field", "", `{"model":{"states":2,"transitions":[[0,1,1]]},"epsilom":1e-9}`, `unknown field "epsilom"`},
+		{"null in a transition", "", `{"model":{"states":2,"transitions":[[null,1,0.5]],"initial":[[0,1]]}}`, "model.transitions[0][0]: null inside an array"},
+		{"null in an initial entry", "", `{"model":{"states":2,"transitions":[[0,1,0.5]],"initial":[[null,1]]}}`, "model.initial[0][0]: null inside an array"},
+		{"null reward", "/v1/query", `{"model_id":"m","queries":[{"rewards":[null,1],"times":[1]}]}`, "queries[0].rewards[0]: null inside an array"},
+		{"duplicate key", "", `{"model":{"states":2,"states":3,"transitions":[[0,1,1]],"initial":[[0,1]]}}`, `model: duplicate field "states"`},
+		{"trailing data", "", `{"model":{"states":2,"transitions":[[0,1,1]],"initial":[[0,1]]}} trailing`, "data after the top-level object"},
 	}
 	for _, tc := range cases {
 		paths := []string{"/v1/compile", "/v1/query"}
@@ -525,12 +530,20 @@ func TestHealthVarzDrain(t *testing.T) {
 		}
 	}
 
+	// A drain refuses new work but still answers /healthz, with 503 so
+	// balancers route away, and /varz.
 	f.srv.draining.Store(true)
-	if status, _ := get(t, f.url+"/healthz"); status != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz while draining: HTTP %d, want 503", status)
+	if status, h := get(t, f.url+"/healthz"); status != http.StatusServiceUnavailable || h["ok"] != false || h["draining"] != true {
+		t.Fatalf("/healthz while draining: HTTP %d %v, want 503 with ok false and draining true", status, h)
+	}
+	if status, v := get(t, f.url+"/varz"); status != http.StatusOK || v["draining"] != true {
+		t.Fatalf("/varz while draining: HTTP %d draining %v, want 200 with draining true", status, v["draining"])
 	}
 	if status, _, retry := postRaw(t, f.url+"/v1/query", `{}`); status != http.StatusServiceUnavailable || retry == "" {
 		t.Fatalf("query while draining: HTTP %d Retry-After %q, want 503 with Retry-After", status, retry)
+	}
+	if status, _, retry := postRaw(t, f.url+"/v1/compile", `{}`); status != http.StatusServiceUnavailable || retry == "" {
+		t.Fatalf("compile while draining: HTTP %d Retry-After %q, want 503 with Retry-After", status, retry)
 	}
 	f.srv.draining.Store(false)
 	if status, _ := get(t, f.url+"/healthz"); status != http.StatusOK {
