@@ -46,7 +46,7 @@ func decodeQuery(b []byte) (queryRequest, error) {
 		case "model_id":
 			req.ModelID, err = r.text()
 		case "queries":
-			req.Queries, err = list(r, (*reader).query)
+			req.Queries, err = list(r, "{}", (*reader).query)
 		case "degrade":
 			req.Degrade, err = r.text()
 		default:
@@ -99,9 +99,9 @@ func (r *reader) model() (*modelJSON, error) {
 			n, err = r.integer(strconv.IntSize)
 			m.States = int(n)
 		case "transitions":
-			m.Transitions, err = list(r, (*reader).transition)
+			m.Transitions, err = list(r, "[0,0,0]", (*reader).transition)
 		case "initial":
-			m.Initial, err = list(r, (*reader).initial)
+			m.Initial, err = list(r, "[0,0]", (*reader).initial)
 		default:
 			err = errUnknownField
 		}
@@ -119,9 +119,9 @@ func (r *reader) query() (queryJSON, error) {
 		case "measure":
 			q.Measure, err = r.text()
 		case "rewards":
-			q.Rewards, err = list(r, (*reader).float)
+			q.Rewards, err = list(r, "0", (*reader).float)
 		case "times":
-			q.Times, err = list(r, (*reader).float)
+			q.Times, err = list(r, "0", (*reader).float)
 		case "bounds":
 			q.Bounds, err = r.boolean()
 		case "inverter":
@@ -335,18 +335,60 @@ func (r *reader) elements(elem func(i int) error) error {
 }
 
 // list decodes an array member whose elements elem decodes. An empty array
-// decodes to an empty slice and null to nil, as in encoding/json.
-func list[T any](r *reader, elem func(*reader) (T, error)) ([]T, error) {
+// decodes to an empty slice and null to nil, as in encoding/json. shortest
+// is the shortest valid element ("0", "[0,0,0]", "{}"), which bounds the
+// capacity count reserves.
+func list[T any](r *reader, shortest string, elem func(*reader) (T, error)) ([]T, error) {
 	if r.null() {
 		return nil, nil
 	}
-	out := []T{}
+	out := make([]T, 0, r.count(shortest))
 	err := r.elements(func(int) error {
 		v, err := elem(r)
 		out = append(out, v)
 		return err
 	})
 	return out, err
+}
+
+// count returns the number of elements of the array that comes next, for
+// list to size its slice once. shortest tells the element kind. Arrays and
+// objects are counted by hopping from each one's opening byte to the first
+// closing byte after it, as long as commas separate them; numbers as one
+// more than the commas before the first ']'. The count is exact for a valid
+// array of flat rows or of numbers, and may fall short otherwise, which
+// only costs list an append. It is capped at the most elements of
+// shortest's length, with their commas and the closing bracket, that the
+// rest of the body could hold, so a malformed body never reserves more
+// than a valid one of the same size.
+func (r *reader) count(shortest string) int {
+	if r.next() != '[' {
+		return 0
+	}
+	t := reader{b: r.b, pos: r.pos + 1}
+	n := 0
+	if open := shortest[0]; open == '[' || open == '{' {
+		end := open + 2 // ']' or '}'
+		for t.next() == open {
+			n++
+			j := bytes.IndexByte(t.b[t.pos:], end)
+			if j < 0 {
+				break
+			}
+			t.pos += j + 1
+			if t.next() != ',' {
+				break
+			}
+			t.pos++
+		}
+	} else if t.next() != ']' {
+		rest := t.b[t.pos:]
+		if j := bytes.IndexByte(rest, ']'); j >= 0 {
+			rest = rest[:j]
+		}
+		n = bytes.Count(rest, []byte{','}) + 1
+	}
+	return min(n, (len(r.b)-r.pos-1)/(len(shortest)+1))
 }
 
 // row decodes an array of exactly len(dst) numbers into dst; fields names

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -337,5 +338,100 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 	if !sameBits(reflect.ValueOf(refQueryOf(q)), reflect.ValueOf(ref)) {
 		t.Error("the band upload decodes to other values than encoding/json's")
+	}
+}
+
+// allocBytes returns the fewest heap bytes one call of f allocated over
+// three calls.
+func allocBytes(f func()) uint64 {
+	var least uint64
+	for i := range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	return least
+}
+
+// Every list is sized once, so the two benchmark bodies decode in about the
+// bytes their rows take: 43k transition rows and 10k rewards for the band
+// upload, 29k rows for the RAID compile. Growing the lists by append took
+// 5.8 and 2.5 MB.
+func TestDecodeBytes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) error
+		limit  uint64
+	}{
+		{"band", bandQueryBody(t), func(b []byte) error { _, err := decodeQuery(b); return err }, 1_500_000},
+		{"raid", raidCompileBody(t), func(b []byte) error { _, err := decodeCompile(b); return err }, 750_000},
+	} {
+		n := allocBytes(func() {
+			if err := c.decode(c.body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > c.limit {
+			t.Errorf("decoding the %s body: %d bytes, want ≤ %d", c.name, n, c.limit)
+		}
+	}
+}
+
+// fillBody returns head, then elem repeated with commas in between, then
+// tail, in at most size bytes.
+func fillBody(head, elem, tail string, size int) []byte {
+	b := append(make([]byte, 0, size), head...)
+	for len(b)+len(elem)+1+len(tail) <= size {
+		b = append(b, elem...)
+		b = append(b, ',')
+	}
+	b = b[:len(b)-1]
+	return append(b, tail...)
+}
+
+// A list is sized before its elements are decoded, so a body of the
+// largest size the server accepts must not reserve more for elements that
+// turn out to be malformed than a valid body of that size does for real
+// ones. The malformed decode may exceed the valid one only by its error
+// value (the message and the field path), well under errSlack.
+func TestDecodeMalformedBodyBytes(t *testing.T) {
+	const errSlack = 1 << 10
+	size := int(testConfig.Limits.MaxBody)
+	const rows, rewards, queries = `{"model":{"transitions":[`, `{"queries":[{"rewards":[`, `{"queries":[`
+	validBytes := func(body []byte) uint64 {
+		return allocBytes(func() {
+			if _, err := decodeQuery(body); err != nil {
+				t.Fatalf("a %d-byte valid body: %v", len(body), err)
+			}
+		})
+	}
+	validRows := validBytes(fillBody(rows, "[0,1,1]", "]}}", size))
+	validRewards := validBytes(fillBody(rewards, "0", "]}]}", size))
+	for _, c := range []struct {
+		name  string
+		body  []byte
+		valid uint64
+	}{
+		{"transitions of commas", fillBody(rows, "", "]}}", size), validRows},
+		{"empty transitions", fillBody(rows, "[]", "]}}", size), validRows},
+		{"number transitions", fillBody(rows, "0", "]}}", size), validRows},
+		{"rewards of commas", fillBody(rewards, "", "]}]}", size), validRewards},
+		{"array rewards", fillBody(rewards, "[]", "]}]}", size), validRewards},
+		{"number queries", fillBody(queries, "0", "]}", size), min(validRows, validRewards)},
+		{"queries of commas", fillBody(queries, "", "]}", size), min(validRows, validRewards)},
+	} {
+		n := allocBytes(func() {
+			if _, err := decodeQuery(c.body); err == nil {
+				t.Fatalf("%s: a %d-byte malformed body decoded", c.name, len(c.body))
+			}
+		})
+		if n > c.valid+errSlack {
+			t.Errorf("%s: a %d-byte malformed body allocated %d bytes, a valid one %d", c.name, len(c.body), n, c.valid)
+		}
 	}
 }

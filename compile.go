@@ -402,7 +402,7 @@ type CompiledMeasure struct {
 	srMu  sync.Mutex
 	sr    *uniform.Solver
 	rsdMu sync.Mutex
-	rsd   *ssd.Solver
+	rsd   *uniform.Solver
 }
 
 // Rewards returns the bound reward vector (shared; do not modify).
@@ -469,7 +469,7 @@ func (m *CompiledMeasure) rrEvaluator(s *regen.Series) (*regen.VEvaluator, error
 // access keeps results order-independent).
 func (m *CompiledMeasure) srSolver() (core.Solver, error) {
 	if m.sr == nil {
-		s, err := uniform.NewFromDTMC(m.cm.model, m.cm.dtmc, m.rewards, m.cm.opts)
+		s, err := uniform.NewFromDTMC(m.cm.model, m.cm.dtmc, m.rewards, m.cm.opts, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -110,8 +110,13 @@
 // models where the retained series dominates memory, not for
 // paper-strength ε = 1e-12 reproduction.
 //
-// The classic constructors remain and are thin wrappers over the same
-// machinery, with unchanged semantics and bitwise-identical outputs:
+// The classic constructors remain and are views of the same engine, with
+// unchanged semantics and bitwise-identical outputs. Each compiles its model
+// without retention and binds one measure: NewSR and NewRSD return that
+// measure's stepping solver, and the RR/RRL solvers of NewRR, NewRRL and
+// NewRRLWithConfig answer through the measure's series cache and
+// evaluators, moving to a deeper series only when a call's largest time
+// exceeds every horizon seen so far:
 //
 //	b := regenrand.NewBuilder(2)
 //	b.AddTransition(0, 1, 1e-3) // failure
@@ -251,7 +256,9 @@
 // The randomization step — vector–matrix product, zeroing of
 // regenerative/absorbing destinations, ℓ₁ mass and reward dot-product — is
 // one kernel pass (sparse.Matrix.StepFused) for SR, RSD and the RR/RRL
-// series build; rebinding reward vectors to retained step vectors replays the
+// series build, and SR and RSD share one stepping loop (uniform.Solver,
+// which RSD runs with a stationary vector: ε/2 windows, and ρ* from the
+// detection step on); rebinding reward vectors to retained step vectors replays the
 // dot side of that kernel through one entry point, sparse.RewardDotMulti —
 // two retained vectors per register-chain sweep for a single binding,
 // eight-vector blocks for a planner group, the same per-pair arithmetic
@@ -261,9 +268,12 @@
 // (internal/pool), so steady-state query traffic runs allocation-free on
 // the hot path. Parallel execution is deterministic: kernel reductions use
 // fixed chunk boundaries with ordered compensated partials, so every
-// result is bitwise-identical for every GOMAXPROCS setting. The classic
-// Solver objects remain single-caller (see core.Solver's concurrency
-// contract); CompiledModel is the concurrent entry point.
+// result is bitwise-identical for every GOMAXPROCS setting. Each method has
+// one implementation: SR and RSD the stepping loop, RR and RRL one
+// evaluator each (regen.VEvaluator, rrl.Evaluator), which the engine and
+// the classic constructors share. The classic Solver objects remain
+// single-caller (see core.Solver's concurrency contract); CompiledModel is
+// the concurrent entry point.
 //
 // The series construction — the K (+L) full-model DTMC steps of the
 // paper's Tables 1–2, the dominant cost of a cold construct-and-solve —
@@ -317,10 +327,10 @@
 // the term cap; see internal/rrl for the budget derivation); since
 // |z| = Λ/|s+Λ| shrinks as the Durbin index grows, late abscissae truncate
 // after a small fraction of the degree-K array. Certified bounds
-// share the machinery: one joint inversion evaluates the value and
-// truncation-mass transforms at shared abscissae and shared sweeps
-// (laplace.InvertJoint), with each output frozen by its own stopping rule
-// so values are bit-identical to a plain query. A scalar full-sweep
+// share the machinery: one two-output joint inversion evaluates the value
+// and truncation-mass transforms at shared abscissae and shared sweeps,
+// with each output frozen by its own stopping rule so values are
+// bit-identical to a plain query. A scalar full-sweep
 // reference kernel is retained and the blocked/truncated/fused paths are
 // equivalence-tested against it at the ulp level.
 //

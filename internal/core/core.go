@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -64,63 +63,18 @@ type Result struct {
 	Abscissae int
 }
 
-// Stats aggregates cost counters over one solver invocation.
+// Stats aggregates a solver's cost counters.
 type Stats struct {
 	// BuildSteps counts DTMC steps executed on the full model (the paper's
 	// "number of steps" columns): stepping passes for SR/RSD, K+L for
 	// RR/RRL.
 	BuildSteps int
-	// VSolveSteps counts randomization steps executed on the transformed
-	// truncated model V_{K,L} (RR only).
-	VSolveSteps int
-	// MatVecs counts sparse vector–matrix products on the full model.
-	MatVecs int
 	// Abscissae counts Laplace-transform evaluations (RRL only).
 	Abscissae int
-	// DetectionStep is the steady-state detection step k* (RSD only, -1
-	// otherwise).
-	DetectionStep int
 	// Setup and Solve partition the wall-clock time: Setup covers
-	// model-independent preprocessing (steady-state solve, series
-	// construction), Solve the per-time-point work.
+	// model-independent preprocessing (series construction), Solve the
+	// per-time-point work.
 	Setup, Solve time.Duration
-}
-
-// StatsAccum is a mutex-guarded Stats accumulator. Solvers that fan their
-// per-time-point work out over the worker pool funnel every counter update
-// through an accumulator so Stats stays consistent under the race detector;
-// counter sums are order-independent, so the final Stats is deterministic
-// regardless of worker scheduling. The zero value is ready to use. No
-// accumulating solver detects a steady state, so DetectionStep is always
-// reported as -1.
-type StatsAccum struct {
-	mu sync.Mutex
-	s  Stats
-}
-
-// Add folds the additive counters and durations of d into the accumulator.
-// d.DetectionStep is ignored.
-func (a *StatsAccum) Add(d Stats) {
-	a.mu.Lock()
-	a.s.BuildSteps += d.BuildSteps
-	a.s.VSolveSteps += d.VSolveSteps
-	a.s.MatVecs += d.MatVecs
-	a.s.Abscissae += d.Abscissae
-	a.s.Setup += d.Setup
-	a.s.Solve += d.Solve
-	a.mu.Unlock()
-}
-
-// AddAbscissae adds n Laplace-transform evaluations.
-func (a *StatsAccum) AddAbscissae(n int) { a.Add(Stats{Abscissae: n}) }
-
-// Snapshot returns the accumulated Stats, with DetectionStep -1.
-func (a *StatsAccum) Snapshot() Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := a.s
-	out.DetectionStep = -1
-	return out
 }
 
 // Solver computes the paper's two measures at batches of time points.
@@ -131,7 +85,7 @@ func (a *StatsAccum) Snapshot() Stats {
 // (fused kernel chunks, per-time-point fan-out over the worker pool of
 // package par); when they do, they must (1) produce results
 // bitwise-identical to a serial run for every GOMAXPROCS setting, and
-// (2) keep Stats accumulation race-free (see StatsAccum).
+// (2) update Stats only from the calling goroutine, after the fan-out.
 type Solver interface {
 	// Name returns the method acronym used in the paper (SR, RSD, RR, RRL).
 	Name() string
@@ -139,7 +93,7 @@ type Solver interface {
 	TRR(ts []float64) ([]Result, error)
 	// MRR evaluates the mean reward rate over [0, t] for each t in ts.
 	MRR(ts []float64) ([]Result, error)
-	// Stats returns counters from the most recent TRR/MRR call.
+	// Stats returns the counters accumulated since the solver was created.
 	Stats() Stats
 }
 
@@ -153,6 +107,9 @@ type Solver interface {
 type Bounds struct {
 	T            float64
 	Lower, Upper float64
+	// Abscissae is the number of transform evaluations of the joint
+	// value+mass inversion (RRL only; 0 for RR).
+	Abscissae int
 }
 
 // BoundingSolver extends Solver with certified two-sided bounds. The RR and

@@ -99,8 +99,7 @@ func (Euler) ID() byte { return 1 }
 // InvertJointCtx implements Inverter. Configurations whose certified
 // roundoff floor e^{a·t}·2⁻⁵⁰·FMax exceeds Tol are rejected with an error
 // wrapping ErrBudget (when FMax is supplied); the abscissae accounting,
-// cancellation and joint-output contracts match the package-level
-// InvertJointCtx.
+// cancellation and joint-output contracts are Durbin's.
 func (Euler) InvertJointCtx(ctx context.Context, m int, f BlockFunc, t float64, opt Options) ([]Result, error) {
 	// The (−1)^k rotation shortcut of the shared loop requires T = t.
 	opt.TFactor = 1

@@ -70,7 +70,7 @@ func TestEulerAgreesWithDurbin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		du, err := Invert(Scalar(f), tt, Options{
+		du, err := invert(Scalar(f), tt, Options{
 			Damping:    DampingTRR(1, eps/4, DefaultTFactor*tt),
 			Tol:        eps / 100,
 			Accelerate: true,
@@ -95,7 +95,7 @@ func TestEulerFewerAbscissaeThanDurbin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	du, err := Invert(Scalar(f), tt, Options{
+	du, err := invert(Scalar(f), tt, Options{
 		Damping:    DampingTRR(1, eps/4, DefaultTFactor*tt),
 		Tol:        eps / 100,
 		Accelerate: true,
@@ -212,7 +212,7 @@ func TestPerBackendFaultSites(t *testing.T) {
 		faultpoint.Reset()
 		t.Fatalf("euler under its armed site: %v, want the injected error", err)
 	}
-	if _, err := Invert(f, 2, durbinOpt); err != nil {
+	if _, err := invert(f, 2, durbinOpt); err != nil {
 		faultpoint.Reset()
 		t.Fatalf("durbin collateral damage from the euler site: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestPerBackendFaultSites(t *testing.T) {
 
 	// And symmetrically for the durbin site.
 	faultpoint.Enable(FaultBlockDurbin, faultpoint.Spec{Mode: faultpoint.ModeError})
-	if _, err := Invert(f, 2, durbinOpt); err == nil || !strings.Contains(err.Error(), "injected") {
+	if _, err := invert(f, 2, durbinOpt); err == nil || !strings.Contains(err.Error(), "injected") {
 		faultpoint.Reset()
 		t.Fatalf("durbin under its armed site: %v, want the injected error", err)
 	}
@@ -229,22 +229,4 @@ func TestPerBackendFaultSites(t *testing.T) {
 		t.Fatalf("euler collateral damage from the durbin site: %v", err)
 	}
 	faultpoint.Reset()
-}
-
-func TestDurbinBackendIsPackageDefault(t *testing.T) {
-	// The Inverter refactor must leave the package-level entry points as a
-	// pure delegate: bitwise-identical Results through either path.
-	f := Scalar(func(s complex128) complex128 { return 1 / ((s + 1) * (s + 3)) })
-	opt := Options{Damping: DampingTRR(1, 1e-10/4, DefaultTFactor*3), Tol: 1e-12, Accelerate: true}
-	viaPackage, err := InvertJointCtx(context.Background(), 1, f, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBackend, err := Durbin{}.InvertJointCtx(context.Background(), 1, f, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaPackage[0] != viaBackend[0] {
-		t.Errorf("package %+v vs backend %+v", viaPackage[0], viaBackend[0])
-	}
 }

@@ -24,24 +24,23 @@
 // such a plateau exposes it, so Durbin also requires at least one such
 // estimate (durbinConfirm). Estimates in the rest of the block are already
 // paid for; only a Durbin streak completing on a block's last estimate
-// costs one more block. InvertJoint
-// extends the same machinery to m transforms that share their abscissae
-// (and therefore their evaluation sweeps): each output keeps its own
-// compensated partial sums, epsilon table and stopping rule, so a joint
-// inversion returns, output by output, exactly the bits a standalone
-// inversion with the same Options would.
+// costs one more block. Every inversion is joint over m transforms that
+// share their abscissae (and therefore their evaluation sweeps): each
+// output keeps its own compensated partial sums, epsilon table and
+// stopping rule, so a joint inversion returns, output by output, exactly
+// the bits a standalone inversion (m = 1) with the same Options would.
 //
 // The machinery is exposed behind the Inverter interface. Two backends
 // share the block-evaluation loop, the per-output compensated series and
 // the streak stopping rule, and differ only in the period, the rotation
 // factors and the series acceleration: Durbin (the paper's configuration,
-// κ = 8 with Wynn's epsilon algorithm — the default, and what the
-// package-level Invert/InvertJoint functions run) and Euler (the
+// κ = 8 with Wynn's epsilon algorithm — the default) and Euler (the
 // Abate–Whitt binomial-averaging variant with κ = 1, whose exactly
 // alternating rotations need far fewer abscissae per time point; see
 // euler.go for its certified-error control). ForName resolves a backend
-// from its registry name; each backend carries a stable one-byte ID for
-// content keys and snapshot encodings, and its own fault-injection site.
+// from its registry name and InvertJointVia calls it; each backend carries
+// a stable one-byte ID for content keys and snapshot encodings, and its own
+// fault-injection site.
 package laplace
 
 import (
@@ -80,8 +79,9 @@ const DefaultTFactor = 8
 const BlockLen = 8
 
 // BlockFunc evaluates a transform at a block of abscissae: dst[j] = f̃(s[j]).
-// len(dst) == len(s) ≤ BlockLen for plain Invert; InvertJoint passes
-// len(dst) == m·len(s) with output q occupying dst[q·len(s):(q+1)·len(s)].
+// len(dst) == len(s) ≤ BlockLen for one output; a joint inversion of m
+// outputs passes len(dst) == m·len(s) with output q occupying
+// dst[q·len(s):(q+1)·len(s)].
 type BlockFunc func(dst, s []complex128)
 
 // Scalar adapts a pointwise transform to the block contract.
@@ -220,56 +220,32 @@ type invState struct {
 	res       Result
 }
 
-// Invert evaluates the Durbin series for f(t) at time t > 0, requesting
-// abscissae from f in blocks of BlockLen.
-func Invert(f BlockFunc, t float64, opt Options) (Result, error) {
-	rs, err := InvertJoint(1, f, t, opt)
-	if rs == nil {
-		return Result{}, err
-	}
-	return rs[0], err
-}
-
-// InvertJoint inverts m transforms that share their abscissae in one Durbin
-// sweep: f fills dst with m outputs per block (output q at
-// dst[q·len(s):(q+1)·len(s)]), so an evaluator whose transforms share
-// coefficient sweeps — the RRL value and truncation-mass transforms — pays
-// one sweep family for all of them. Every output gets its own compensated
-// series, epsilon table and stopping rule under the shared Options, and its
-// Result is frozen the moment its own rule accepts, so each output is
-// bit-identical to a standalone inversion of that transform with the same
-// Options; the sweep continues until every output has converged. On error
-// (an output exhausting the term cap) the returned slice still carries the
-// best estimates.
-func InvertJoint(m int, f BlockFunc, t float64, opt Options) ([]Result, error) {
-	return InvertJointCtx(context.Background(), m, f, t, opt)
-}
-
-// InvertJointCtx is InvertJoint with cooperative cancellation: ctx is
-// tested once per abscissa block, so a cancel returns within one block's
-// latency. The returned slice still carries the best estimates at the point
-// of cancellation (flagged not Converged), and the error is a
-// core.CancelError recording the abscissae evaluated. A non-cancelled call
-// is bitwise-identical to InvertJoint.
-func InvertJointCtx(ctx context.Context, m int, f BlockFunc, t float64, opt Options) ([]Result, error) {
-	return Durbin{}.InvertJointCtx(ctx, m, f, t, opt)
-}
-
 // Inverter is a numerical Laplace inversion backend. Implementations share
 // the block-of-8 BlockFunc contract, the fused joint value+bounds path and
-// the core.CancelError abscissae accounting of the package-level functions;
-// they differ in how the complex plane is sampled and how the series is
-// accelerated, and therefore in how many abscissae a time point costs and
-// which (damping, tolerance) configurations their certified error bounds
-// admit.
+// the core.CancelError abscissae accounting; they differ in how the complex
+// plane is sampled and how the series is accelerated, and therefore in how
+// many abscissae a time point costs and which (damping, tolerance)
+// configurations their certified error bounds admit.
 type Inverter interface {
 	// Name returns the backend's registry name (DurbinName, EulerName).
 	Name() string
 	// ID returns the backend's stable one-byte identifier, used in compile
 	// content keys and snapshot encodings; IDs are never reused.
 	ID() byte
-	// InvertJointCtx inverts m transforms sharing their abscissae in one
-	// sweep, with the contract of the package-level InvertJointCtx. A
+	// InvertJointCtx inverts m transforms that share their abscissae in
+	// one sweep at time t > 0: f fills dst with m outputs per block
+	// (output q at dst[q·len(s):(q+1)·len(s)]), so an evaluator whose
+	// transforms share coefficient sweeps — the RRL value and
+	// truncation-mass transforms — pays one sweep family for all of them.
+	// Every output gets its own compensated series, acceleration and
+	// stopping rule under the shared Options, and its Result is frozen the
+	// moment its own rule accepts, so each output is bit-identical to a
+	// standalone inversion of that transform with the same Options; the
+	// sweep continues until every output has converged. ctx is tested once
+	// per abscissa block, so a cancel returns within one block's latency
+	// with a core.CancelError recording the abscissae evaluated. On error
+	// (cancellation, or an output exhausting the term cap) the returned
+	// slice still carries the best estimates, flagged not Converged. A
 	// backend whose certified error bound cannot meet opt.Tol for this
 	// configuration rejects the call with an error wrapping ErrBudget.
 	InvertJointCtx(ctx context.Context, m int, f BlockFunc, t float64, opt Options) ([]Result, error)
@@ -314,9 +290,7 @@ func InvertJointVia(ctx context.Context, inv Inverter, m int, f BlockFunc, t flo
 }
 
 // Durbin is the paper's inversion backend: trapezoidal discretization at
-// κ = 8 with Wynn's epsilon acceleration. It is the default, and the
-// package-level Invert/InvertJoint/InvertJointCtx functions are exactly
-// this backend.
+// κ = 8 with Wynn's epsilon acceleration. It is the default.
 type Durbin struct{}
 
 // Name implements Inverter.

@@ -1,10 +1,20 @@
 package laplace
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
 )
+
+// invert is a one-output inversion by Durbin, the default backend.
+func invert(f BlockFunc, t float64, opt Options) (Result, error) {
+	rs, err := Durbin{}.InvertJointCtx(context.Background(), 1, f, t, opt)
+	if rs == nil {
+		return Result{}, err
+	}
+	return rs[0], err
+}
 
 // invertBounded inverts f̃ with the TRR-style damping for a function bounded
 // by fmax, with total error budget eps split as in the paper (ε/4
@@ -12,7 +22,7 @@ import (
 func invertBounded(t *testing.T, f func(complex128) complex128, tt, fmax, eps float64) Result {
 	t.Helper()
 	T := DefaultTFactor * tt
-	res, err := Invert(Scalar(f), tt, Options{
+	res, err := invert(Scalar(f), tt, Options{
 		Damping:    DampingTRR(fmax, eps/4, T),
 		Tol:        eps / 100,
 		Accelerate: true,
@@ -53,7 +63,7 @@ func TestInvertRamp(t *testing.T) {
 	eps := 1e-11
 	for _, tt := range []float64{0.5, 3, 50} {
 		T := DefaultTFactor * tt
-		res, err := Invert(Scalar(f), tt, Options{
+		res, err := invert(Scalar(f), tt, Options{
 			Damping:    DampingCumulative(1, eps, tt, T),
 			Tol:        tt * eps / 100,
 			Accelerate: true,
@@ -127,13 +137,13 @@ func TestAccelerationAblation(t *testing.T) {
 		Tol:        1e-8 / 100,
 		Accelerate: true,
 	}
-	accel, err := Invert(Scalar(f), tt, opts)
+	accel, err := invert(Scalar(f), tt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Accelerate = false
 	opts.maxTerms = 200000
-	raw, err := Invert(Scalar(f), tt, opts)
+	raw, err := invert(Scalar(f), tt, opts)
 	want := math.Exp(-tt)
 	if err == nil {
 		// If it converged, it must have cost much more and still be correct.
@@ -158,7 +168,7 @@ func TestTFactorStability(t *testing.T) {
 	want := math.Cos(tt)
 	for _, kappa := range []float64{4, 8, 16} {
 		T := kappa * tt
-		res, err := Invert(Scalar(f), tt, Options{
+		res, err := invert(Scalar(f), tt, Options{
 			TFactor:    kappa,
 			Damping:    DampingTRR(1, 1e-9/4, T),
 			Tol:        1e-9 / 100,
@@ -215,16 +225,16 @@ func TestDampingCumulativeMatchesTaylorRegime(t *testing.T) {
 
 func TestInvertValidation(t *testing.T) {
 	f := func(s complex128) complex128 { return 1 / s }
-	if _, err := Invert(Scalar(f), 0, Options{Damping: 1, Tol: 1e-6}); err == nil {
+	if _, err := invert(Scalar(f), 0, Options{Damping: 1, Tol: 1e-6}); err == nil {
 		t.Error("want error for t=0")
 	}
-	if _, err := Invert(Scalar(f), 1, Options{Damping: 0, Tol: 1e-6}); err == nil {
+	if _, err := invert(Scalar(f), 1, Options{Damping: 0, Tol: 1e-6}); err == nil {
 		t.Error("want error for zero damping")
 	}
-	if _, err := Invert(Scalar(f), 1, Options{Damping: 1, Tol: 0}); err == nil {
+	if _, err := invert(Scalar(f), 1, Options{Damping: 1, Tol: 0}); err == nil {
 		t.Error("want error for zero tolerance")
 	}
-	if _, err := Invert(Scalar(f), 1, Options{Damping: 1, Tol: 1e-6, TFactor: -1}); err == nil {
+	if _, err := invert(Scalar(f), 1, Options{Damping: 1, Tol: 1e-6, TFactor: -1}); err == nil {
 		t.Error("want error for negative TFactor")
 	}
 }
@@ -248,12 +258,12 @@ func TestInvertJointMatchesSeparate(t *testing.T) {
 	for _, tt := range []float64{0.8, 2.5, 40} {
 		T := DefaultTFactor * tt
 		opt := Options{Damping: DampingTRR(1, 1e-10/4, T), Tol: 1e-10 / 100, Accelerate: true}
-		rs, err := InvertJoint(len(fs), joint, tt, opt)
+		rs, err := Durbin{}.InvertJointCtx(context.Background(), len(fs), joint, tt, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for q, f := range fs {
-			solo, err := Invert(Scalar(f), tt, opt)
+			solo, err := invert(Scalar(f), tt, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +286,7 @@ func TestInvertJointMatchesSeparate(t *testing.T) {
 func TestInvertBlockWasteBounded(t *testing.T) {
 	f := func(s complex128) complex128 { return 1 / (s + 1) }
 	opt := Options{Damping: DampingTRR(1, 1e-10/4, 16), Tol: 1e-10 / 100, Accelerate: true}
-	res, err := Invert(Scalar(f), 2, opt)
+	res, err := invert(Scalar(f), 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +298,7 @@ func TestInvertBlockWasteBounded(t *testing.T) {
 	// of the unrestricted run was pure waste.
 	opt.maxTerms = res.Abscissae - BlockLen - 1
 	if opt.maxTerms > 0 {
-		short, err := Invert(Scalar(f), 2, opt)
+		short, err := invert(Scalar(f), 2, opt)
 		if err == nil && short.Converged {
 			t.Errorf("converged in %d abscissae, a full block less than the %d consumed",
 				short.Abscissae, res.Abscissae)
@@ -300,7 +310,7 @@ func TestNonConvergenceReported(t *testing.T) {
 	// A transform violating the boundedness assumption (growing original)
 	// with a tiny term cap must report failure rather than silently return.
 	f := func(s complex128) complex128 { return 1 / (s * s * s) }
-	_, err := Invert(Scalar(f), 1, Options{Damping: 0.05, Tol: 1e-14, maxTerms: 10})
+	_, err := invert(Scalar(f), 1, Options{Damping: 0.05, Tol: 1e-14, maxTerms: 10})
 	if err == nil {
 		t.Error("want convergence failure with maxTerms=10")
 	}

@@ -36,7 +36,7 @@ func TestInvertRandomExponentialMixtures(t *testing.T) {
 		tt := 0.3 + 3*rng.Float64()
 		eps := 1e-9
 		T := DefaultTFactor * tt
-		res, err := Invert(Scalar(f), tt, Options{
+		res, err := invert(Scalar(f), tt, Options{
 			Damping:    DampingTRR(fmax, eps/4, T),
 			Tol:        eps / 100,
 			Accelerate: true,

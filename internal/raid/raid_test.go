@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,10 +202,10 @@ func TestSmallModelAgainstOracle(t *testing.T) {
 	}
 }
 
-// newRRL builds an RRL solver with the paper's configuration the way the
-// root constructor does: a non-retaining basis, a binding of the rewards,
-// then rrl.NewWithSource.
-func newRRL(model *ctmc.CTMC, rewards []float64, regenState int) (*rrl.Solver, error) {
+// rrlTRR evaluates TRR with the paper's RRL configuration the way the root
+// constructor does: a non-retaining basis, a binding of the rewards, the
+// series certified for the largest time, then the evaluator's ctx method.
+func rrlTRR(model *ctmc.CTMC, rewards []float64, regenState int, ts []float64) ([]core.Result, error) {
 	basis, err := regen.NewBasisMode(model, regenState, core.DefaultOptions(), regen.RetainNone)
 	if err != nil {
 		return nil, err
@@ -213,8 +214,16 @@ func newRRL(model *ctmc.CTMC, rewards []float64, regenState int) (*rrl.Solver, e
 	if err != nil {
 		return nil, err
 	}
+	series, err := bd.SeriesForCtx(context.Background(), core.MaxTime(ts))
+	if err != nil {
+		return nil, err
+	}
 	rho0 := func() float64 { return sparse.Dot(model.Initial(), bd.Rewards()) }
-	return rrl.NewWithSource(bd, rho0, core.DefaultOptions(), rrl.Config{})
+	e, err := rrl.NewEvaluator(series, rho0, core.DefaultEpsilon, rrl.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return e.TRRCtx(context.Background(), ts)
 }
 
 func TestURMonotoneAndRRLMatchesSR(t *testing.T) {
@@ -224,16 +233,12 @@ func TestURMonotoneAndRRLMatchesSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := m.UnreliabilityRewards()
-	sRRL, err := newRRL(m.Chain, rewards, m.Pristine)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sSR, err := uniform.New(m.Chain, rewards, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := []float64{1, 10, 100, 1000}
-	a, err := sRRL.TRR(ts)
+	a, err := rrlTRR(m.Chain, rewards, m.Pristine, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,16 +28,12 @@ func TestVModelAbsorptionSplit(t *testing.T) {
 		for _, f := range c.Absorbing() {
 			rewards := make([]float64, n)
 			rewards[f] = 1
-			rr, err := newRR(c, rewards, 0, core.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
 			sr, err := uniform.New(c, rewards, core.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
 			ts := []float64{2, 60}
-			a, err := rr.TRR(ts)
+			a, err := evalRR(c, rewards, 0, core.DefaultOptions(), ts, false)
 			if err != nil {
 				t.Fatalf("trial %d f=%d: %v", trial, f, err)
 			}
@@ -73,11 +69,7 @@ func TestVModelAbsorptionTotalMass(t *testing.T) {
 	for f, want := range map[int]float64{1: 0.25, 2: 0.75} {
 		rewards := make([]float64, 3)
 		rewards[f] = 1
-		rr, err := newRR(c, rewards, 0, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rr.TRR(tt)
+		res, err := evalRR(c, rewards, 0, core.DefaultOptions(), tt, false)
 		if err != nil {
 			t.Fatal(err)
 		}

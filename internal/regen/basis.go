@@ -295,7 +295,7 @@ func (b *Basis) chainBudget() float64 {
 	return b.opts.Epsilon / 2
 }
 
-// SeriesFor returns the regenerative-randomization series of the bound
+// SeriesForCtx returns the regenerative-randomization series of the bound
 // rewards certified for the given horizon — bitwise-identical to
 // Build(model, rewards, regenState, opts, horizon), but at the cost of a
 // coefficient binding (retaining basis, amortized across horizons) or a
@@ -306,15 +306,11 @@ func (b *Basis) chainBudget() float64 {
 // vectors (not bitwise-identical to Build); the truncation levels then
 // certify against the quantization-reduced budget of truncBudget, so the
 // total error stays within Epsilon.
-func (bd *Binding) SeriesFor(horizon float64) (*Series, error) {
-	return bd.SeriesForCtx(context.Background(), horizon)
-}
-
-// SeriesForCtx is SeriesFor with cooperative cancellation: ctx is tested
-// once per chain-extension step. A cancelled call leaves the basis's chain
-// store exactly as far as it got (append-only, never rolled back), so a
-// retry resumes there and returns a series bitwise-identical to an
-// uninterrupted call.
+//
+// ctx is tested once per chain-extension step. A cancelled call leaves the
+// basis's chain store exactly as far as it got (append-only, never rolled
+// back), so a retry resumes there and returns a series bitwise-identical to
+// an uninterrupted call.
 func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, error) {
 	if err := checkHorizon(horizon); err != nil {
 		return nil, err
@@ -469,7 +465,7 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 // BuildManyCtx builds the series of several reward vectors over this
 // basis's shared DTMC in one multi-lane stepping pass (see
 // BuildManyWithDTMCCtx); each returned series is bitwise-identical to the
-// one the corresponding binding's SeriesFor would build on a non-retaining
+// one the corresponding binding's SeriesForCtx would build on a non-retaining
 // basis. It is the grouped construction path of the query planner for
 // non-retaining compiled models.
 func (b *Basis) BuildManyCtx(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
@@ -521,9 +517,9 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 // replayed as reward lanes of the multi-rewards dot kernel — the retained
 // vectors are streamed once per eight-vector block for all bindings instead
 // of once per binding. The cached values are bitwise-identical to what each
-// binding's own SeriesFor would compute (the per-(vector, rewards) replay
+// binding's own SeriesForCtx would compute (the per-(vector, rewards) replay
 // arithmetic is association-fixed), so this is purely a throughput
-// optimization; a later SeriesFor call finds its coefficients cached. No-op
+// optimization; a later SeriesForCtx call finds its coefficients cached. No-op
 // on a non-retaining basis. ctx is observed during the shared chain
 // extension; the replay fill itself is not interrupted (it is cheap
 // relative to stepping and keeps the store append-consistent).
@@ -548,7 +544,7 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 	}
 	// Main chain: extend once under the union of the bindings' predicates,
 	// then search each binding's truncation level over the shared a values —
-	// the same monotone bound SeriesFor searches, hence identical K's.
+	// the same monotone bound SeriesForCtx searches, hence identical K's.
 	mainPred := func(a []float64, level int) bool {
 		for i, bd := range bds {
 			if truncErrS(bd.rmax, a, level, lam) > budgets[i] {
@@ -613,7 +609,7 @@ func (bd *Binding) store(prime bool) *[]float64 {
 
 // fillMany computes the missing b(0..tops[i]) of every binding over one
 // chain snapshot — the one replay path of every binding, whether it comes
-// alone (SeriesFor) or in a planner group (PrebindManyCtx). Stores only ever
+// alone (SeriesForCtx) or in a planner group (PrebindManyCtx). Stores only ever
 // grow and every entry is a pure function of (basis, rewards, k), so
 // concurrent fills commute: whoever appends first appends the same values.
 func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, prime bool) {

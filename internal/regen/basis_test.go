@@ -1,6 +1,7 @@
 package regen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestBindSeriesBitwiseEqualsBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := bind.SeriesFor(h)
+			got, err := bind.SeriesForCtx(context.Background(), h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +137,7 @@ func TestFusedBindingBitwiseEqualsBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bind.SeriesFor(100)
+	got, err := bind.SeriesForCtx(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +168,10 @@ func TestBasisValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bind.SeriesFor(0); err == nil {
+	if _, err := bind.SeriesForCtx(context.Background(), 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := bind.SeriesFor(math.Inf(1)); err == nil {
+	if _, err := bind.SeriesForCtx(context.Background(), math.Inf(1)); err == nil {
 		t.Error("infinite horizon accepted")
 	}
 }

@@ -29,7 +29,7 @@ func TestCompactRetentionRejectsTightEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bind.SeriesFor(50); err == nil {
+	if _, err := bind.SeriesForCtx(context.Background(), 50); err == nil {
 		t.Fatal("compact retention certified epsilon 1e-12; want quantization-budget error")
 	}
 }
@@ -60,11 +60,11 @@ func TestCompactSeriesWithinQuantBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range []float64{5, 60, 300} {
-		sf, err := bf.SeriesFor(h)
+		sf, err := bf.SeriesForCtx(context.Background(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := bc.SeriesFor(h)
+		sc, err := bc.SeriesForCtx(context.Background(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestCompactSeriesWithinQuantBound(t *testing.T) {
 }
 
 // PrebindManyCtx must warm exactly the coefficients each binding's own
-// SeriesFor would compute — the grouped replay (eight-vector blocks) and a
+// SeriesForCtx would compute — the grouped replay (eight-vector blocks) and a
 // single binding's replay (the one-vector two-lane sweep) interchangeable
 // bit for bit — in full and compact modes, across partial warm states and
 // horizon orders.
@@ -132,7 +132,7 @@ func TestPrebindManyBitwiseEqualsIndividual(t *testing.T) {
 		}
 		// Warm one grouped binding partially first, so PrebindManyCtx meets a
 		// half-filled store.
-		if _, err := grpBinds[0].SeriesFor(5); err != nil {
+		if _, err := grpBinds[0].SeriesForCtx(context.Background(), 5); err != nil {
 			t.Fatal(err)
 		}
 		for _, h := range []float64{60, 5, 300} { // non-monotone horizon order
@@ -140,11 +140,11 @@ func TestPrebindManyBitwiseEqualsIndividual(t *testing.T) {
 				t.Fatalf("mode %v: PrebindManyCtx: %v", mode, err)
 			}
 			for i := range rewardsSets {
-				want, err := refBinds[i].SeriesFor(h)
+				want, err := refBinds[i].SeriesForCtx(context.Background(), h)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := grpBinds[i].SeriesFor(h)
+				got, err := grpBinds[i].SeriesForCtx(context.Background(), h)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,7 +212,7 @@ func TestCompactPrewarmCoversUnitQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := bd.SeriesFor(h); err != nil {
+		if _, err := bd.SeriesForCtx(context.Background(), h); err != nil {
 			t.Fatal(err)
 		}
 		if got := b.Steps(); got != warm {

@@ -1,6 +1,7 @@
 package regen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,10 +12,10 @@ import (
 	"regenrand/internal/uniform"
 )
 
-// newRR builds an RR solver the way the compile phase does: a non-retaining
-// basis, a binding of the rewards, then NewWithSource. Each new horizon
-// extends the binding's own chains instead of re-stepping from scratch.
-func newRR(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*Solver, error) {
+// evalRR evaluates RR the way the root constructor does: a non-retaining
+// basis, a binding of the rewards, the series certified for the largest
+// time, then the evaluator's ctx method.
+func evalRR(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options, ts []float64, mrr bool) ([]core.Result, error) {
 	basis, err := NewBasisMode(model, regenState, opts, RetainNone)
 	if err != nil {
 		return nil, err
@@ -23,7 +24,18 @@ func newRR(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Option
 	if err != nil {
 		return nil, err
 	}
-	return NewWithSource(bd, opts)
+	series, err := bd.SeriesForCtx(context.Background(), core.MaxTime(ts))
+	if err != nil {
+		return nil, err
+	}
+	e, err := NewVEvaluator(series, opts)
+	if err != nil {
+		return nil, err
+	}
+	if mrr {
+		return e.MRRCtx(context.Background(), ts)
+	}
+	return e.TRRCtx(context.Background(), ts)
 }
 
 func twoState(t *testing.T, lambda, mu float64) *ctmc.CTMC {
@@ -147,12 +159,8 @@ func TestVModelRates(t *testing.T) {
 func TestRRTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 0.2, 1.9
 	c := twoState(t, lambda, mu)
-	s, err := newRR(c, []float64{0, 1}, 0, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := []float64{0.5, 2, 10, 100, 1000}
-	res, err := s.TRR(ts)
+	res, err := evalRR(c, []float64{0, 1}, 0, core.DefaultOptions(), ts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +185,12 @@ func TestRRMatchesSRRandomModels(t *testing.T) {
 		}
 		absorbingOnly := trial%4 == 3 && len(c.Absorbing()) > 0
 		rewards := ctmc.RandomRewards(rng, c, 2.0, absorbingOnly)
-		rr, err := newRR(c, rewards, 0, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
 		sr, err := uniform.New(c, rewards, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := []float64{0.3, 3, 30}
-		a, err := rr.TRR(ts)
+		a, err := evalRR(c, rewards, 0, core.DefaultOptions(), ts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +203,7 @@ func TestRRMatchesSRRandomModels(t *testing.T) {
 				t.Errorf("trial %d t=%v: RR=%v SR=%v diff=%g", trial, ts[i], a[i].Value, b[i].Value, a[i].Value-b[i].Value)
 			}
 		}
-		am, err := rr.MRR(ts)
+		am, err := evalRR(c, rewards, 0, core.DefaultOptions(), ts, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,12 +226,8 @@ func TestRRMatchesOracleAbsorbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := ctmc.RandomRewards(rng, c, 1.0, true) // unreliability-style
-	s, err := newRR(c, rewards, 0, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tt := range []float64{1, 10} {
-		res, err := s.TRR([]float64{tt})
+		res, err := evalRR(c, rewards, 0, core.DefaultOptions(), []float64{tt}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,11 +283,7 @@ func TestStepsGrowLogarithmically(t *testing.T) {
 	// K(t) grows roughly logarithmically for large t (the paper's Table 1
 	// contrast with SR's linear growth).
 	c := birthDeath3(t)
-	s, err := newRR(c, []float64{0, 0, 1}, 0, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.TRR([]float64{1e2, 1e4, 1e6})
+	res, err := evalRR(c, []float64{0, 0, 1}, 0, core.DefaultOptions(), []float64{1e2, 1e4, 1e6}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,29 +343,37 @@ func TestBuildValidation(t *testing.T) {
 
 func TestHorizonRebuild(t *testing.T) {
 	c := birthDeath3(t)
-	s, err := newRR(c, []float64{0, 0, 1}, 0, core.DefaultOptions())
+	basis, err := NewBasisMode(c, 0, core.DefaultOptions(), RetainNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := s.TRR([]float64{10})
+	bd, err := basis.Bind([]float64{0, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1 := s.Series().K
-	if _, err := s.TRR([]float64{1e5}); err != nil {
-		t.Fatal(err)
+	at := func(horizon float64) (int, float64) {
+		series, err := bd.SeriesForCtx(context.Background(), horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewVEvaluator(series, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.TRRCtx(context.Background(), []float64{10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series.K, res[0].Value
 	}
-	k2 := s.Series().K
+	k1, v1 := at(10)
+	k2, v2 := at(1e5)
 	if k2 <= k1 {
 		t.Errorf("series not rebuilt for larger horizon: K %d → %d", k1, k2)
 	}
-	// And answers at the small t remain identical after the rebuild.
-	res2, err := s.TRR([]float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res1[0].Value-res2[0].Value) > 1e-12 {
-		t.Errorf("TRR changed across rebuild: %v vs %v", res1[0].Value, res2[0].Value)
+	// And answers at the small t remain identical on the deeper series.
+	if math.Abs(v1-v2) > 1e-12 {
+		t.Errorf("TRR changed across rebuild: %v vs %v", v1, v2)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rrl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -8,7 +9,6 @@ import (
 
 	"regenrand/internal/core"
 	"regenrand/internal/ctmc"
-	"regenrand/internal/laplace"
 	"regenrand/internal/raid"
 	"regenrand/internal/regen"
 	"regenrand/internal/uniform"
@@ -26,7 +26,8 @@ func TestTRRBoundsEncloseTruth(t *testing.T) {
 			t.Fatal(err)
 		}
 		rewards := ctmc.RandomRewards(rng, c, 2.0, false)
-		s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
+		ts := []float64{0.5, 5, 50}
+		e, _, err := newEval(c, rewards, 0, core.DefaultOptions(), Config{}, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,8 +35,7 @@ func TestTRRBoundsEncloseTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := []float64{0.5, 5, 50}
-		bounds, err := s.TRRBounds(ts)
+		bounds, err := e.TRRBoundsCtx(context.Background(), ts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -56,7 +56,7 @@ func TestTRRBoundsEncloseTruth(t *testing.T) {
 				t.Errorf("trial %d t=%v: inverted bounds", trial, ts[i])
 			}
 		}
-		mb, err := s.MRRBounds(ts)
+		mb, err := e.MRRBoundsCtx(context.Background(), ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,20 +81,20 @@ func TestBoundsRRvsRRL(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := ctmc.RandomRewards(rng, c, 1.5, false)
-	rrlS, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrS, err := newRR(c, rewards, 0, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := []float64{1, 10}
-	a, err := rrlS.TRRBounds(ts)
+	rrlE, series, err := newEval(c, rewards, 0, core.DefaultOptions(), Config{}, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rrS.TRRBounds(ts)
+	rrE, err := regen.NewVEvaluator(series, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := rrlE.TRRBoundsCtx(context.Background(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rrE.TRRBoundsCtx(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,20 +108,20 @@ func TestBoundsRRvsRRL(t *testing.T) {
 
 // separateBounds is the unfused counterpart of runBounds: the value and
 // truncation-mass transforms inverted independently under the exact
-// Options and tail tolerance the fused path uses. InvertJoint freezes each
-// output by its own stopping rule, so fusing must be a pure cost
+// Options and tail tolerance the fused path uses. A joint inversion freezes
+// each output by its own stopping rule, so fusing must be a pure cost
 // optimization — this reference pins that bitwise.
 func separateBounds(e *Evaluator, ts []float64, mrr bool) ([]core.Bounds, error) {
 	out := make([]core.Bounds, len(ts))
 	for i, t := range ts {
 		opt := e.invertOptions(t, mrr)
 		tail := e.tailTol(opt, t)
-		vres, err := laplace.Invert(e.tf.valueBlock(mrr, tail), t, opt)
+		vres, err := invert(e.tf.valueBlock(mrr, tail), t, opt)
 		if err != nil {
 			return nil, err
 		}
 		massOnly := func(dst, s []complex128) { e.tf.blockEval(nil, dst, s, mrr, tail) }
-		mres, err := laplace.Invert(massOnly, t, opt)
+		mres, err := invert(massOnly, t, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -139,11 +139,11 @@ func separateBounds(e *Evaluator, ts []float64, mrr bool) ([]core.Bounds, error)
 // values plus a standalone truncation-mass inversion with scalar full-sweep
 // kernels and damping from the mass bound 1 (boundsFromValues).
 func pr2Bounds(e *Evaluator, ts []float64, mrr bool) ([]core.Bounds, error) {
-	values, err := e.run(ts, mrr, nil)
+	values, err := e.runCtx(context.Background(), ts, mrr)
 	if err != nil {
 		return nil, err
 	}
-	return e.boundsFromValues(ts, values, mrr, nil)
+	return e.boundsFromValues(ts, values, mrr)
 }
 
 func sameBounds(a, b core.Bounds) bool {
@@ -202,7 +202,7 @@ func TestFusedBoundsFig34(t *testing.T) {
 			}
 			noTrunc.fullSweep = true
 			for _, mrr := range []bool{false, true} {
-				fused, err := prod.runBounds(ts, mrr, nil)
+				fused, err := prod.runBoundsCtx(context.Background(), ts, mrr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,7 +210,7 @@ func TestFusedBoundsFig34(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fusedRef, err := noTrunc.runBounds(ts, mrr, nil)
+				fusedRef, err := noTrunc.runBoundsCtx(context.Background(), ts, mrr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,12 +238,12 @@ func TestFusedBoundsFig34(t *testing.T) {
 				}
 				// The fused batch must be bitwise-stable across GOMAXPROCS.
 				old := runtime.GOMAXPROCS(1)
-				serial, err := prod.runBounds(ts, mrr, nil)
+				serial, err := prod.runBoundsCtx(context.Background(), ts, mrr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				runtime.GOMAXPROCS(8)
-				wide, err := prod.runBounds(ts, mrr, nil)
+				wide, err := prod.runBoundsCtx(context.Background(), ts, mrr)
 				runtime.GOMAXPROCS(old)
 				if err != nil {
 					t.Fatal(err)
@@ -274,7 +274,8 @@ func TestBoundsCoarseTruncation(t *testing.T) {
 	}
 	rewards := []float64{0, 0.5, 1}
 	coarse := core.Options{Epsilon: 1e-4, UniformizationFactor: 1}
-	s, err := newRRL(c, rewards, 0, coarse, Config{})
+	ts := []float64{10, 100}
+	e, _, err := newEval(c, rewards, 0, coarse, Config{}, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +283,7 @@ func TestBoundsCoarseTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := []float64{10, 100}
-	bounds, err := s.TRRBounds(ts)
+	bounds, err := e.TRRBoundsCtx(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}

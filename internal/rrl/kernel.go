@@ -198,13 +198,13 @@ func (tf *transform) blockEval(dstV, dstM, ss []complex128, div bool, tailTol fl
 	}
 }
 
-// valueBlock returns the blocked evaluator of the value transform for
-// laplace.Invert (div selects C̃ = TRR̃/s, the MRR side).
+// valueBlock returns the blocked evaluator of the value transform for a
+// one-output inversion (div selects C̃ = TRR̃/s, the MRR side).
 func (tf *transform) valueBlock(div bool, tailTol float64) laplace.BlockFunc {
 	return func(dst, s []complex128) { tf.blockEval(dst, nil, s, div, tailTol) }
 }
 
-// jointBlock returns the two-output evaluator for laplace.InvertJoint: the
+// jointBlock returns the evaluator of a two-output joint inversion: the
 // value transform in the first output block, the truncation-mass transform
 // in the second, sharing one sweep family per block.
 func (tf *transform) jointBlock(div bool, tailTol float64) laplace.BlockFunc {

@@ -1,6 +1,7 @@
 package rrl
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -286,7 +287,7 @@ func TestTailTruncationWithinBudget(t *testing.T) {
 
 func runMeasure(e *Evaluator, ts []float64, mrr bool) ([]core.Result, error) {
 	if mrr {
-		return e.MRR(ts)
+		return e.MRRCtx(context.Background(), ts)
 	}
-	return e.TRR(ts)
+	return e.TRRCtx(context.Background(), ts)
 }

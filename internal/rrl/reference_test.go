@@ -1,6 +1,7 @@
 package rrl
 
 import (
+	"context"
 	"fmt"
 
 	"regenrand/internal/core"
@@ -12,20 +13,20 @@ import (
 // kernels against: the scalar full-sweep transform evaluation and the
 // separate-inversion bounds path.
 
-// TransformTRR exposes the closed-form transform TRR̃(s) for tests and
-// diagnostics. It is only valid after a solve has built the series.
-func (s *Solver) TransformTRR(z complex128) complex128 {
-	if s.eval == nil {
-		return 0
+// invert is a one-output Durbin inversion.
+func invert(f laplace.BlockFunc, t float64, opt laplace.Options) (laplace.Result, error) {
+	rs, err := laplace.Durbin{}.InvertJointCtx(context.Background(), 1, f, t, opt)
+	if rs == nil {
+		return laplace.Result{}, err
 	}
-	return s.eval.tf.trr(z)
+	return rs[0], err
 }
 
 // boundsFromValues is the separate-inversion bounds path, retained as the
-// reference the fused runBounds is equivalence-tested against: the
+// reference the fused runBoundsCtx is equivalence-tested against: the
 // truncation-mass transform is inverted on its own (scalar kernels, full
 // sweeps, damping from the mass bound 1) over already-computed values.
-func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr bool, stats *core.StatsAccum) ([]core.Bounds, error) {
+func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr bool) ([]core.Bounds, error) {
 	eps := e.eps
 	out := make([]core.Bounds, len(ts))
 	errs := make([]error, len(ts))
@@ -57,7 +58,7 @@ func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr boo
 				Accelerate: !e.conf.DisableAcceleration,
 			}
 		}
-		res, err := laplace.Invert(f, t, opt)
+		res, err := invert(f, t, opt)
 		if err != nil {
 			errs[i] = fmt.Errorf("rrl: truncation mass at t=%v: %w", t, err)
 			return
@@ -67,9 +68,6 @@ func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr boo
 			mass /= t
 		}
 		out[i] = e.enclose(t, values[i].Value, mass)
-		if stats != nil {
-			stats.AddAbscissae(res.Abscissae)
-		}
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -32,11 +32,11 @@
 // geometric tail bound suffix[d]·|z|^d (regen.SuffixAbs metadata) drops
 // below a tolerance that keeps the discarded mass under both the sweep's
 // rounding noise and a 2^-20 fraction of the inversion's stopping
-// tolerance. Certified bounds fuse into the same sweeps: one joint
-// inversion (laplace.InvertJoint) carries TRR̃ and the truncation-mass
-// transform p̃_a at shared abscissae, the mass side reading the sa/svs/z^K
-// sums the value side computes, so TRRBounds/MRRBounds cost barely more
-// than the values alone. The scalar full-sweep kernel (evalPacked, trr,
+// tolerance. Certified bounds fuse into the same sweeps: one two-output
+// joint inversion carries TRR̃ and the truncation-mass transform p̃_a at
+// shared abscissae, the mass side reading the sa/svs/z^K sums the value
+// side computes, so TRRBoundsCtx/MRRBoundsCtx cost barely more than the
+// values alone. The scalar full-sweep kernel (evalPacked, trr,
 // truncMass) lives in the tests as the equivalence reference. The
 // independent time points of a batch fan out over the worker pool of
 // package par — each inversion is embarrassingly parallel — with results
@@ -47,7 +47,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"regenrand/internal/core"
 	"regenrand/internal/laplace"
@@ -86,126 +85,6 @@ func (c Config) Normalize() Config {
 	return c
 }
 
-// Solver is the RRL solver.
-type Solver struct {
-	rho0Dot func() float64 // π(0)·r̄ for the t = 0 shortcut
-	opts    core.Options
-	conf    Config
-	src     *regen.Binding
-
-	series *regen.Series
-	eval   *Evaluator
-
-	stats core.StatsAccum
-}
-
-// NewWithSource returns an RRL solver over a compile-phase binding. rho0
-// supplies π(0)·r̄ for the t = 0 shortcut; input validation is the
-// binding's responsibility. The series construction is deferred to the
-// first call, whose largest time fixes the truncation horizon.
-func NewWithSource(src *regen.Binding, rho0 func() float64, opts core.Options, conf Config) (*Solver, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	conf = conf.Normalize()
-	if !(conf.TFactor >= 1) { // also rejects NaN
-		return nil, fmt.Errorf("rrl: TFactor %v < 1", conf.TFactor)
-	}
-	if _, err := laplace.ForName(conf.Inverter); err != nil {
-		return nil, fmt.Errorf("rrl: %w", err)
-	}
-	return &Solver{rho0Dot: rho0, opts: opts, conf: conf, src: src}, nil
-}
-
-// Name returns "RRL".
-func (s *Solver) Name() string { return "RRL" }
-
-// Stats returns cost counters accumulated since the solver was created.
-func (s *Solver) Stats() core.Stats { return s.stats.Snapshot() }
-
-// Series returns the underlying series (nil before the first solve).
-func (s *Solver) Series() *regen.Series { return s.series }
-
-func (s *Solver) ensure(horizon float64) error {
-	if s.series != nil && horizon <= s.series.Horizon {
-		return nil
-	}
-	start := time.Now()
-	series, err := s.src.SeriesFor(horizon)
-	if err != nil {
-		return err
-	}
-	s.series = series
-	eval, err := NewEvaluator(series, s.rho0Dot, s.opts.Epsilon, s.conf)
-	if err != nil {
-		return err
-	}
-	s.eval = eval
-	s.stats.Add(core.Stats{
-		BuildSteps: series.Steps(),
-		MatVecs:    series.Steps(),
-		Setup:      time.Since(start),
-	})
-	return nil
-}
-
-func (s *Solver) run(ts []float64, mrr bool) ([]core.Result, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	if err := s.ensure(core.MaxTime(ts)); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	results, err := s.eval.run(ts, mrr, &s.stats)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.Add(core.Stats{Solve: time.Since(start)})
-	return results, nil
-}
-
-// TRR implements core.Solver.
-func (s *Solver) TRR(ts []float64) ([]core.Result, error) { return s.run(ts, false) }
-
-// MRR implements core.Solver.
-func (s *Solver) MRR(ts []float64) ([]core.Result, error) { return s.run(ts, true) }
-
-// TRRBounds returns certified enclosures of TRR(t): the plain RRL value is
-// a lower bound (the truncation state earns reward 0 where the exact
-// process earns ≥ 0), and adding r_max·P[V(t) = a] — with the truncation
-// mass obtained by inverting p̃_a(s) = (Λ/s)a(K)z^K p̃₀ + a'(L)z^{L+1}/s —
-// gives an upper bound. Both sides carry the inversion error ε/2.
-func (s *Solver) TRRBounds(ts []float64) ([]core.Bounds, error) {
-	return s.bounds(ts, false)
-}
-
-// MRRBounds returns certified enclosures of MRR(t); the upper correction is
-// (r_max/t)∫₀ᵗ P[V = a], obtained by inverting p̃_a(s)/s.
-func (s *Solver) MRRBounds(ts []float64) ([]core.Bounds, error) {
-	return s.bounds(ts, true)
-}
-
-func (s *Solver) bounds(ts []float64, mrr bool) ([]core.Bounds, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	if err := s.ensure(core.MaxTime(ts)); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	out, err := s.eval.runBounds(ts, mrr, &s.stats)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.Add(core.Stats{Solve: time.Since(start)})
-	return out, nil
-}
-
-var _ core.BoundingSolver = (*Solver)(nil)
-
-var _ core.Solver = (*Solver)(nil)
-
 // Evaluator inverts the closed-form transforms of one built series. It is
 // immutable and safe for concurrent use: every method is a pure function of
 // its arguments (per-time-point inversions fan out over the worker pool
@@ -228,12 +107,15 @@ type Evaluator struct {
 // NewEvaluator packs the transform coefficients of a built series. rho0
 // supplies π(0)·r̄ for the t = 0 shortcut (it is called lazily, only for
 // batches containing t = 0, and may be nil if such batches never occur).
-// conf.TFactor must be normalized (nonzero); eps is the total error budget
-// the series was built for. An unknown conf.Inverter is an error (the
-// empty string selects Durbin).
+// eps is the total error budget the series was built for. A conf.TFactor
+// of 0 selects κ = 8 and one below 1 is an error, as is an unknown
+// conf.Inverter (the empty string selects Durbin).
 func NewEvaluator(series *regen.Series, rho0 func() float64, eps float64, conf Config) (*Evaluator, error) {
 	if conf.TFactor == 0 {
 		conf.TFactor = laplace.DefaultTFactor
+	}
+	if !(conf.TFactor >= 1) { // also rejects NaN
+		return nil, fmt.Errorf("rrl: TFactor %v < 1", conf.TFactor)
 	}
 	inv, err := laplace.ForName(conf.Inverter)
 	if err != nil {
@@ -242,70 +124,47 @@ func NewEvaluator(series *regen.Series, rho0 func() float64, eps float64, conf C
 	return &Evaluator{series: series, tf: newTransform(series), rho0: rho0, eps: eps, conf: conf, inv: inv}, nil
 }
 
-// Inverter returns the registry name of the evaluator's Laplace backend.
-func (e *Evaluator) Inverter() string { return e.inv.Name() }
-
-// Series returns the evaluated series.
-func (e *Evaluator) Series() *regen.Series { return e.series }
-
-// TRR evaluates the transient reward rate at each time point.
-func (e *Evaluator) TRR(ts []float64) ([]core.Result, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	return e.run(ts, false, nil)
-}
-
-// MRR evaluates the mean reward rate at each time point.
-func (e *Evaluator) MRR(ts []float64) ([]core.Result, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	return e.run(ts, true, nil)
-}
-
-// TRRBounds returns certified enclosures of TRR.
-func (e *Evaluator) TRRBounds(ts []float64) ([]core.Bounds, error) { return e.bounds(ts, false) }
-
-// MRRBounds returns certified enclosures of MRR.
-func (e *Evaluator) MRRBounds(ts []float64) ([]core.Bounds, error) { return e.bounds(ts, true) }
-
-// TRRCtx, MRRCtx, TRRBoundsCtx and MRRBoundsCtx are the
-// cancellation-aware entry points: ctx is threaded into the per-time-point
-// fan-out (unstarted points are abandoned) and into every inversion's block
-// loop (an in-flight inversion stops within one block's latency). A
-// cancelled call returns a core.CancelError carrying the abscissae the
-// interrupted inversion had evaluated; a non-cancelled call returns results
-// bitwise-identical to the ctx-free methods.
+// TRRCtx, MRRCtx, TRRBoundsCtx and MRRBoundsCtx evaluate the measures and
+// their certified enclosures at each time point. ctx is threaded into the
+// per-time-point fan-out (unstarted points are abandoned) and into every
+// inversion's block loop (an in-flight inversion stops within one block's
+// latency). A cancelled call returns a core.CancelError carrying the
+// abscissae the interrupted inversion had evaluated.
 func (e *Evaluator) TRRCtx(ctx context.Context, ts []float64) ([]core.Result, error) {
 	if err := core.CheckTimes(ts); err != nil {
 		return nil, err
 	}
-	return e.runCtx(ctx, ts, false, nil)
+	return e.runCtx(ctx, ts, false)
 }
 
-// MRRCtx is the ctx-aware MRR (see TRRCtx).
+// MRRCtx evaluates the mean reward rate (see TRRCtx).
 func (e *Evaluator) MRRCtx(ctx context.Context, ts []float64) ([]core.Result, error) {
 	if err := core.CheckTimes(ts); err != nil {
 		return nil, err
 	}
-	return e.runCtx(ctx, ts, true, nil)
+	return e.runCtx(ctx, ts, true)
 }
 
-// TRRBoundsCtx is the ctx-aware TRRBounds (see TRRCtx).
+// TRRBoundsCtx returns certified enclosures of TRR(t): the plain RRL value
+// is a lower bound (the truncation state earns reward 0 where the exact
+// process earns ≥ 0), and adding r_max·P[V(t) = a] — with the truncation
+// mass obtained by inverting p̃_a(s) = (Λ/s)a(K)z^K p̃₀ + a'(L)z^{L+1}/s —
+// gives an upper bound. Both sides carry the inversion error ε/2. See
+// TRRCtx for cancellation.
 func (e *Evaluator) TRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Bounds, error) {
 	if err := core.CheckTimes(ts); err != nil {
 		return nil, err
 	}
-	return e.runBoundsCtx(ctx, ts, false, nil)
+	return e.runBoundsCtx(ctx, ts, false)
 }
 
-// MRRBoundsCtx is the ctx-aware MRRBounds (see TRRCtx).
+// MRRBoundsCtx returns certified enclosures of MRR(t); the upper correction
+// is (r_max/t)∫₀ᵗ P[V = a], obtained by inverting p̃_a(s)/s.
 func (e *Evaluator) MRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Bounds, error) {
 	if err := core.CheckTimes(ts); err != nil {
 		return nil, err
 	}
-	return e.runBoundsCtx(ctx, ts, true, nil)
+	return e.runBoundsCtx(ctx, ts, true)
 }
 
 // invertOptions builds the inversion configuration of one time point: the
@@ -371,11 +230,7 @@ func (e *Evaluator) tailTol(opt laplace.Options, t float64) float64 {
 	return tol
 }
 
-func (e *Evaluator) run(ts []float64, mrr bool, stats *core.StatsAccum) ([]core.Result, error) {
-	return e.runCtx(context.Background(), ts, mrr, stats)
-}
-
-func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool, stats *core.StatsAccum) ([]core.Result, error) {
+func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool) ([]core.Result, error) {
 	var rho0 float64
 	for _, t := range ts {
 		if t == 0 {
@@ -389,7 +244,7 @@ func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool, stats *c
 	// transform; the batch fans out over the worker pool, writing i-indexed
 	// slots so results match a serial run bitwise. A cancel abandons the
 	// unstarted points (ForCtx) and interrupts in-flight inversions at their
-	// next block boundary (InvertJointCtx).
+	// next block boundary.
 	forErr := par.ForCtx(ctx, len(ts), func(i int) {
 		t := ts[i]
 		if t == 0 {
@@ -414,9 +269,6 @@ func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool, stats *c
 			Steps:     e.series.StepsFor(t),
 			Abscissae: res.Abscissae,
 		}
-		if stats != nil {
-			stats.AddAbscissae(res.Abscissae)
-		}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -429,15 +281,8 @@ func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool, stats *c
 	return results, nil
 }
 
-func (e *Evaluator) bounds(ts []float64, mrr bool) ([]core.Bounds, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	return e.runBounds(ts, mrr, nil)
-}
-
-// runBounds evaluates certified enclosures through the fused path: per time
-// point one joint inversion (laplace.InvertJoint) carries the value
+// runBoundsCtx evaluates certified enclosures through the fused path: per
+// time point one joint inversion carries the value
 // transform and the truncation-mass transform at shared abscissae, so the
 // mass side rides the sa/svs/z^K sweeps the value side pays for and the
 // bounds cost barely exceeds the values alone. The value output is frozen
@@ -449,12 +294,10 @@ func (e *Evaluator) bounds(ts []float64, mrr bool) ([]core.Bounds, error) {
 // bound multiplied by r_max, so the certified correction stays within the
 // ε/4 budget for every r_max; when r_max = 1 the shared damping coincides
 // with the mass transform's own, and the fused enclosures match the
-// separate-inversion reference (boundsSeparateRef) bitwise.
-func (e *Evaluator) runBounds(ts []float64, mrr bool, stats *core.StatsAccum) ([]core.Bounds, error) {
-	return e.runBoundsCtx(context.Background(), ts, mrr, stats)
-}
-
-func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool, stats *core.StatsAccum) ([]core.Bounds, error) {
+// separate-inversion reference (boundsFromValues) bitwise. Each row counts
+// the abscissae of its joint inversion: the two outputs share them, and the
+// later freeze saw every evaluation.
+func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool) ([]core.Bounds, error) {
 	var rho0 float64
 	for _, t := range ts {
 		if t == 0 {
@@ -485,15 +328,7 @@ func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool, st
 			mass /= t
 		}
 		out[i] = e.enclose(t, value, mass)
-		if stats != nil {
-			// The two outputs share their abscissae; the later freeze saw
-			// every evaluation.
-			absc := rs[0].Abscissae
-			if rs[1].Abscissae > absc {
-				absc = rs[1].Abscissae
-			}
-			stats.AddAbscissae(absc)
-		}
+		out[i].Abscissae = max(rs[0].Abscissae, rs[1].Abscissae)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -509,7 +344,7 @@ func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool, st
 // enclose assembles the certified enclosure of one time point from the
 // plain value (a lower bound: the truncation state earns reward 0 where the
 // exact process earns ≥ 0) and the inverted truncation mass (the upper
-// correction r_max·mass); see Solver.TRRBounds.
+// correction r_max·mass); see TRRBoundsCtx.
 func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
 	// Clamp the inverted mass to its probabilistic range.
 	if mass < 0 {

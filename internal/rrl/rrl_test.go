@@ -1,6 +1,7 @@
 package rrl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,33 +14,26 @@ import (
 	"regenrand/internal/uniform"
 )
 
-// bindNone binds the rewards on a non-retaining basis, the configuration
-// the root constructors (NewRR, NewRRL) compile in.
-func bindNone(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*regen.Binding, error) {
+// newEval builds the RRL evaluator the root constructors answer through: a
+// non-retaining basis, a binding of the rewards and the series certified
+// for the largest of ts. The series is returned too, for the RR evaluator
+// the comparisons build over it.
+func newEval(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options, conf Config, ts []float64) (*Evaluator, *regen.Series, error) {
 	basis, err := regen.NewBasisMode(model, regenState, opts, regen.RetainNone)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return basis.Bind(rewards)
-}
-
-// newRRL builds an RRL solver over a fresh non-retaining binding.
-func newRRL(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options, conf Config) (*Solver, error) {
-	bd, err := bindNone(model, rewards, regenState, opts)
+	bd, err := basis.Bind(rewards)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	series, err := bd.SeriesForCtx(context.Background(), core.MaxTime(ts))
+	if err != nil {
+		return nil, nil, err
 	}
 	rho0 := func() float64 { return sparse.Dot(model.Initial(), bd.Rewards()) }
-	return NewWithSource(bd, rho0, opts, conf)
-}
-
-// newRR builds the RR comparator over a fresh non-retaining binding.
-func newRR(model *ctmc.CTMC, rewards []float64, regenState int, opts core.Options) (*regen.Solver, error) {
-	bd, err := bindNone(model, rewards, regenState, opts)
-	if err != nil {
-		return nil, err
-	}
-	return regen.NewWithSource(bd, opts)
+	e, err := NewEvaluator(series, rho0, opts.Epsilon, conf.Normalize())
+	return e, series, err
 }
 
 func twoState(t *testing.T, lambda, mu float64) *ctmc.CTMC {
@@ -64,12 +58,12 @@ func twoState(t *testing.T, lambda, mu float64) *ctmc.CTMC {
 func TestRRLTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 0.2, 1.9
 	c := twoState(t, lambda, mu)
-	s, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{})
+	ts := []float64{0.5, 2, 10, 100, 1e4}
+	e, _, err := newEval(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{}, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := []float64{0.5, 2, 10, 100, 1e4}
-	res, err := s.TRR(ts)
+	res, err := e.TRRCtx(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +82,12 @@ func TestRRLTwoStateAnalytic(t *testing.T) {
 func TestRRLMRRTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 0.3, 1.1
 	c := twoState(t, lambda, mu)
-	s, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{})
+	ts := []float64{0.5, 2, 25, 500}
+	e, _, err := newEval(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{}, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := []float64{0.5, 2, 25, 500}
-	res, err := s.MRR(ts)
+	res, err := e.MRRCtx(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +112,8 @@ func TestRRLMatchesSRAndRR(t *testing.T) {
 		}
 		absorbingOnly := trial%4 == 3 && len(c.Absorbing()) > 0
 		rewards := ctmc.RandomRewards(rng, c, 2.0, absorbingOnly)
-		rrl, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
+		ts := []float64{0.4, 4, 40}
+		rrl, series, err := newEval(c, rewards, 0, core.DefaultOptions(), Config{}, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,12 +121,11 @@ func TestRRLMatchesSRAndRR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := newRR(c, rewards, 0, core.DefaultOptions())
+		rr, err := regen.NewVEvaluator(series, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := []float64{0.4, 4, 40}
-		a, err := rrl.TRR(ts)
+		a, err := rrl.TRRCtx(context.Background(), ts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -139,7 +133,7 @@ func TestRRLMatchesSRAndRR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := rr.TRR(ts)
+		d, err := rr.TRRCtx(context.Background(), ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +147,7 @@ func TestRRLMatchesSRAndRR(t *testing.T) {
 				t.Errorf("trial %d t=%v: RRL steps %d != RR steps %d", trial, ts[i], a[i].Steps, d[i].Steps)
 			}
 		}
-		am, err := rrl.MRR(ts)
+		am, err := rrl.MRRCtx(context.Background(), ts)
 		if err != nil {
 			t.Fatalf("trial %d MRR: %v", trial, err)
 		}
@@ -176,12 +170,12 @@ func TestRRLMatchesOracleUnreliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := ctmc.RandomRewards(rng, c, 1.0, true)
-	s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tt := range []float64{1, 20} {
-		res, err := s.TRR([]float64{tt})
+		e, _, err := newEval(c, rewards, 0, core.DefaultOptions(), Config{}, []float64{tt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.TRRCtx(context.Background(), []float64{tt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,16 +203,16 @@ func TestRRLLargeTimeStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	rewards := []float64{0, 0, 1}
-	s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sr, err := uniform.New(c, rewards, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{1e3, 1e5} {
-		a, err := s.TRR([]float64{tt})
+		e, _, err := newEval(c, rewards, 0, core.DefaultOptions(), Config{}, []float64{tt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := e.TRRCtx(context.Background(), []float64{tt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +234,11 @@ func TestRRLTFactorAblation(t *testing.T) {
 	values := map[float64]float64{}
 	absc := map[float64]int{}
 	for _, kappa := range []float64{4, 8, 16} {
-		s, err := newRRL(c, rewards, 0, core.DefaultOptions(), Config{TFactor: kappa})
+		e, _, err := newEval(c, rewards, 0, core.DefaultOptions(), Config{TFactor: kappa}, []float64{50})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.TRR([]float64{50})
+		res, err := e.TRRCtx(context.Background(), []float64{50})
 		if err != nil {
 			t.Fatalf("kappa=%v: %v", kappa, err)
 		}
@@ -263,28 +257,29 @@ func TestRRLTFactorAblation(t *testing.T) {
 
 func TestRRLValidation(t *testing.T) {
 	c := twoState(t, 1, 1)
-	if _, err := newRRL(c, []float64{0, 1}, 7, core.DefaultOptions(), Config{}); err == nil {
+	one := []float64{1}
+	if _, _, err := newEval(c, []float64{0, 1}, 7, core.DefaultOptions(), Config{}, one); err == nil {
 		t.Error("want error for bad regenerative state")
 	}
-	if _, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{TFactor: 0.5}); err == nil {
+	if _, _, err := newEval(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{TFactor: 0.5}, one); err == nil {
 		t.Error("want error for TFactor < 1")
 	}
-	s, err := newRRL(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{})
+	e, _, err := newEval(c, []float64{0, 1}, 0, core.DefaultOptions(), Config{}, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TRR([]float64{}); err == nil {
+	if _, err := e.TRRCtx(context.Background(), []float64{}); err == nil {
 		t.Error("want error for empty batch")
 	}
 }
 
 func TestRRLZeroTime(t *testing.T) {
 	c := twoState(t, 1, 1)
-	s, err := newRRL(c, []float64{5, 1}, 0, core.DefaultOptions(), Config{})
+	e, _, err := newEval(c, []float64{5, 1}, 0, core.DefaultOptions(), Config{}, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.TRR([]float64{0, 1})
+	res, err := e.TRRCtx(context.Background(), []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,15 +291,12 @@ func TestRRLZeroTime(t *testing.T) {
 func TestTransformLimitBehaviour(t *testing.T) {
 	// s·TRR̃(s) → TRR(0) = r(initial) as s → ∞ (initial value theorem).
 	c := twoState(t, 0.5, 1.5)
-	s, err := newRRL(c, []float64{2, 0}, 0, core.DefaultOptions(), Config{})
+	e, _, err := newEval(c, []float64{2, 0}, 0, core.DefaultOptions(), Config{}, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TRR([]float64{1}); err != nil {
-		t.Fatal(err)
-	}
 	sBig := complex(1e9, 0)
-	got := real(sBig * s.TransformTRR(sBig))
+	got := real(sBig * e.tf.trr(sBig))
 	if math.Abs(got-2) > 1e-5 {
 		t.Errorf("initial value theorem: s·TRR̃(s)=%v want 2", got)
 	}

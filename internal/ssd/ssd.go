@@ -1,4 +1,4 @@
-// Package ssd implements randomization with steady-state detection — the
+// Package ssd sets up randomization with steady-state detection — the
 // paper's "RSD" comparator for irreducible models, after Sericola (1999) and
 // Malhotra/Muppala/Trivedi.
 //
@@ -8,43 +8,25 @@
 // be frozen at ρ* = π*·r̄ for all k ≥ k* with guaranteed total error ≤ ε:
 // the stepping cost saturates at k* however large Λt grows (the behaviour
 // tabulated in Table 1 of the paper).
+//
+// RSD is SR with that one change, so it runs on SR's stepping loop: this
+// package checks that the model is irreducible, solves for π* and hands it
+// to uniform.Solver, which does the detection.
 package ssd
 
 import (
 	"fmt"
-	"time"
 
 	"regenrand/internal/core"
 	"regenrand/internal/ctmc"
 	"regenrand/internal/linsolve"
-	"regenrand/internal/poisson"
-	"regenrand/internal/sparse"
+	"regenrand/internal/uniform"
 )
-
-// Solver is the RSD solver. Create one with New.
-type Solver struct {
-	model   *ctmc.CTMC
-	rewards []float64
-	opts    core.Options
-	rmax    float64
-
-	dtmc *ctmc.DTMC
-	// steady is the stationary distribution; rhoStar = steady·r̄.
-	steady  []float64
-	rhoStar float64
-	// detect is the detection step k*, or -1 while undetected.
-	detect int
-	rho    []float64
-	pi     []float64
-	buf    []float64
-
-	stats core.Stats
-}
 
 // New validates the inputs, solves for the stationary distribution, and
 // returns an RSD solver. The model must be irreducible (no absorbing
 // states).
-func New(model *ctmc.CTMC, rewards []float64, opts core.Options) (*Solver, error) {
+func New(model *ctmc.CTMC, rewards []float64, opts core.Options) (*uniform.Solver, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -58,7 +40,7 @@ func New(model *ctmc.CTMC, rewards []float64, opts core.Options) (*Solver, error
 // NewFromDTMC is New with the uniformized chain supplied by the caller (the
 // compile phase shares one DTMC across measures). The stationary solve
 // remains per-solver: its residual tolerance depends on the measure's r_max.
-func NewFromDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, opts core.Options) (*Solver, error) {
+func NewFromDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, opts core.Options) (*uniform.Solver, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,7 +51,6 @@ func NewFromDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, opts core.Op
 	if err != nil {
 		return nil, err
 	}
-	setupStart := time.Now()
 	// Residual two orders below the detection threshold keeps the computed
 	// π* from polluting the guarantee.
 	tol := opts.Epsilon / 100
@@ -83,175 +64,5 @@ func NewFromDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, opts core.Op
 	if err != nil {
 		return nil, fmt.Errorf("ssd: %w", err)
 	}
-	r := make([]float64, len(rewards))
-	copy(r, rewards)
-	s := &Solver{
-		model: model, rewards: r, opts: opts, rmax: rmax, dtmc: d,
-		steady: steady, rhoStar: sparse.Dot(steady, r), detect: -1,
-	}
-	s.stats.Setup = time.Since(setupStart)
-	s.stats.DetectionStep = -1
-	return s, nil
+	return uniform.NewFromDTMC(model, d, rewards, opts, steady)
 }
-
-// Name returns "RSD".
-func (s *Solver) Name() string { return "RSD" }
-
-// Stats returns cost counters accumulated since the solver was created.
-func (s *Solver) Stats() core.Stats { return s.stats }
-
-// Lambda returns the randomization rate Λ.
-func (s *Solver) Lambda() float64 { return s.dtmc.Lambda }
-
-// DetectionStep returns k* if steady state has been detected, else -1.
-func (s *Solver) DetectionStep() int { return s.detect }
-
-// ensureRho extends ρ_0..ρ_upTo, stopping early at the detection step. The
-// vector–matrix product and the reward dot ρ_k share one fused kernel pass;
-// only the ℓ₁ distance to π* for detection remains a separate sweep.
-func (s *Solver) ensureRho(upTo int) {
-	if s.rho == nil {
-		s.pi = s.model.Initial()
-		s.buf = make([]float64, s.model.N())
-		s.rho = append(s.rho, sparse.Dot(s.pi, s.rewards))
-		s.checkDetection(0)
-	}
-	for len(s.rho) <= upTo && s.detect < 0 {
-		_, dot := s.dtmc.StepFused(s.buf, s.pi, s.rewards, nil, nil)
-		s.pi, s.buf = s.buf, s.pi
-		s.rho = append(s.rho, dot)
-		s.stats.BuildSteps++
-		s.stats.MatVecs++
-		s.checkDetection(len(s.rho) - 1)
-	}
-}
-
-func (s *Solver) checkDetection(k int) {
-	delta := s.opts.Epsilon / 2
-	if s.rmax > 0 {
-		delta = s.opts.Epsilon / (2 * s.rmax)
-	}
-	if sparse.L1Diff(s.pi, s.steady) <= delta {
-		s.detect = k
-		s.stats.DetectionStep = k
-	}
-}
-
-// rhoAt returns the effective reward sequence value at step k. Steps beyond
-// the stepped range occur only after steady-state detection and use ρ*.
-func (s *Solver) rhoAt(k int) float64 {
-	if k < len(s.rho) {
-		return s.rho[k]
-	}
-	return s.rhoStar
-}
-
-// TRR implements core.Solver.
-func (s *Solver) TRR(ts []float64) ([]core.Result, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	results := make([]core.Result, len(ts))
-	epsW := s.opts.Epsilon / 2
-	if s.rmax > 0 {
-		epsW = s.opts.Epsilon / (2 * s.rmax)
-	}
-	if epsW >= 1 {
-		epsW = 0.5
-	}
-	for i, t := range ts {
-		if t == 0 {
-			s.ensureRho(0)
-			results[i] = core.Result{T: 0, Value: s.rho[0]}
-			continue
-		}
-		w, err := poisson.NewWindow(s.dtmc.Lambda*t, epsW)
-		if err != nil {
-			return nil, fmt.Errorf("ssd: t=%v: %w", t, err)
-		}
-		s.ensureRho(w.Right)
-		var acc sparse.Accumulator
-		for k := w.Left; k <= w.Right; k++ {
-			acc.Add(w.Weight(k) * s.rhoAt(k))
-		}
-		steps := w.Right
-		if s.detect >= 0 && s.detect < steps {
-			steps = s.detect
-		}
-		results[i] = core.Result{T: t, Value: acc.Value(), Steps: steps}
-	}
-	s.stats.Solve += time.Since(start)
-	return results, nil
-}
-
-// MRR implements core.Solver.
-func (s *Solver) MRR(ts []float64) ([]core.Result, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	results := make([]core.Result, len(ts))
-	for i, t := range ts {
-		if t == 0 {
-			s.ensureRho(0)
-			results[i] = core.Result{T: 0, Value: s.rho[0]}
-			continue
-		}
-		lam := s.dtmc.Lambda * t
-		epsW := s.opts.Epsilon / 2 * 1e-4
-		if s.rmax > 0 {
-			epsW = s.opts.Epsilon / (2 * s.rmax) * 1e-4
-		}
-		if epsW >= 1 {
-			epsW = 0.5
-		}
-		if epsW < 1e-290 {
-			epsW = 1e-290
-		}
-		w, err := poisson.NewWindow(lam, epsW)
-		if err != nil {
-			return nil, fmt.Errorf("ssd: t=%v: %w", t, err)
-		}
-		tails := w.Tails()
-		// Truncation point for the cumulative series, as in package uniform.
-		rem := poisson.MeanExcessUpper(lam, w.Right+1)
-		target := s.opts.Epsilon / 2 * lam
-		if s.rmax > 0 {
-			target = s.opts.Epsilon / 2 * lam / s.rmax
-		}
-		excess := rem
-		R := w.Right
-		for k := w.Right; k > w.Left; k-- {
-			q := tails[k+1-w.Left]
-			if excess+q > target {
-				break
-			}
-			excess += q
-			R = k - 1
-		}
-		s.ensureRho(R)
-		var acc sparse.Accumulator
-		for k := 0; k <= R; k++ {
-			var q float64
-			switch {
-			case k+1 < w.Left:
-				q = 1
-			case k+1 > w.Right+1:
-				q = 0
-			default:
-				q = tails[k+1-w.Left]
-			}
-			acc.Add(q * s.rhoAt(k))
-		}
-		steps := R
-		if s.detect >= 0 && s.detect < steps {
-			steps = s.detect
-		}
-		results[i] = core.Result{T: t, Value: acc.Value() / lam, Steps: steps}
-	}
-	s.stats.Solve += time.Since(start)
-	return results, nil
-}
-
-var _ core.Solver = (*Solver)(nil)

@@ -193,3 +193,55 @@ func TestInitialAtSteadyStateDetectsImmediately(t *testing.T) {
 		t.Errorf("TRR=%v want 2 (stationary reward)", res[0].Value)
 	}
 }
+
+// RSD is SR with the reward sequence frozen once steady state is detected,
+// and SR's windows at ε/2: before the detection step k* an RSD answer is
+// bit for bit SR's at ε/2, and past it the step count stops at k*.
+func TestRSDIsSRBeforeDetection(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c, err := ctmc.Random(rng, ctmc.RandomOptions{States: 15, ExtraDegree: 2, SpreadInitial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewards := ctmc.RandomRewards(rng, c, 2, false)
+	opts := core.DefaultOptions()
+	half := opts
+	half.Epsilon /= 2
+	ts := []float64{0.1, 0.5, 2}
+	for _, mrr := range []bool{false, true} {
+		rsd, err := New(c, rewards, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := uniform.New(c, rewards, half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(s core.Solver, ts []float64) []core.Result {
+			var res []core.Result
+			var err error
+			if mrr {
+				res, err = s.MRR(ts)
+			} else {
+				res, err = s.TRR(ts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		got, want := run(rsd, ts), run(sr, ts)
+		if k := rsd.DetectionStep(); k >= 0 {
+			t.Fatalf("mrr=%v: steady state detected at step %d, inside the truncation of t ≤ %v", mrr, k, ts[len(ts)-1])
+		}
+		for i := range ts {
+			if math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) || got[i].Steps != want[i].Steps {
+				t.Errorf("mrr=%v t=%v: RSD %+v, SR at ε/2 %+v", mrr, ts[i], got[i], want[i])
+			}
+		}
+		late := run(rsd, []float64{1e4})
+		if k := rsd.DetectionStep(); k < 0 || late[0].Steps != k {
+			t.Errorf("mrr=%v t=1e4: %d steps, detection step %d", mrr, late[0].Steps, k)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"regenrand/internal/core"
 	"regenrand/internal/laplace"
 	"regenrand/internal/par"
+	"regenrand/internal/regen"
 )
 
 // Method selects the solution method of a query — the acronyms of the
@@ -148,7 +149,7 @@ func (cm *CompiledModel) QueryCtx(ctx context.Context, q Query) ([]Result, error
 	// RR or RRL. The certified horizon is the max time, rounded up to the
 	// compile's horizon grid when bucketing is on (see horizon.go) —
 	// near-miss horizons then share one cached series.
-	eval, err := m.regenEvaluatorCtx(ctx, q.Method, cm.bucketHorizon(core.MaxTime(q.Times)), q.Inverter)
+	eval, _, err := m.regenEvaluatorCtx(ctx, q.Method, cm.bucketHorizon(core.MaxTime(q.Times)), q.Inverter)
 	if err != nil {
 		return nil, err
 	}
@@ -159,9 +160,8 @@ func (cm *CompiledModel) QueryCtx(ctx context.Context, q Query) ([]Result, error
 }
 
 // measureEvaluator is the method set the RR and RRL evaluators share; the
-// engine dispatches on it so the two regenerative methods flow through one
-// code path. The evaluators' ctx methods return results bitwise-identical
-// to their ctx-free counterparts when the context is never cancelled.
+// engine and the classic RR/RRL solvers dispatch on it so the two
+// regenerative methods flow through one code path.
 type measureEvaluator interface {
 	TRRCtx(ctx context.Context, ts []float64) ([]core.Result, error)
 	MRRCtx(ctx context.Context, ts []float64) ([]core.Result, error)
@@ -170,18 +170,21 @@ type measureEvaluator interface {
 }
 
 // regenEvaluatorCtx resolves the series for the horizon (under ctx — this
-// is where a query's dominant cancellable work happens) and returns the
-// method's cached evaluator. inverter is the RRL backend override ("" =
+// is where a query's dominant cancellable work happens) and returns it with
+// the method's cached evaluator. inverter is the RRL backend override ("" =
 // compile default); RR ignores it (nothing to invert).
-func (m *CompiledMeasure) regenEvaluatorCtx(ctx context.Context, method Method, horizon float64, inverter string) (measureEvaluator, error) {
+func (m *CompiledMeasure) regenEvaluatorCtx(ctx context.Context, method Method, horizon float64, inverter string) (measureEvaluator, *regen.Series, error) {
 	series, err := m.seriesForCtx(ctx, horizon)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var eval measureEvaluator
 	if method == MethodRR {
-		return m.rrEvaluator(series)
+		eval, err = m.rrEvaluator(series)
+	} else {
+		eval, err = m.rrlEvaluator(series, inverter)
 	}
-	return m.rrlEvaluator(series, inverter)
+	return eval, series, err
 }
 
 // lockedRun serializes access to one shared single-caller solver under its
@@ -230,19 +233,29 @@ func (cm *CompiledModel) QueryBatch(qs []Query) []QueryResult {
 // ctx.Err(). Prewarmed series survive in the caches, so re-submitting the
 // batch resumes rather than restarts.
 func (cm *CompiledModel) QueryBatchCtx(ctx context.Context, qs []Query) []QueryResult {
-	out := make([]QueryResult, len(qs))
+	return runBatch(ctx, cm, qs, (*CompiledModel).QueryCtx, func(r []Result, err error) QueryResult {
+		return QueryResult{Results: r, Err: err}
+	})
+}
+
+// runBatch is the batch path of QueryBatchCtx and QueryBoundsBatchCtx: plan
+// the requests, fan the unique ones out over the worker pool through query,
+// fill the rows a cancel left unstarted with the wrapped ctx error, and
+// share each unique row with its duplicates.
+func runBatch[T, Row any](ctx context.Context, cm *CompiledModel, qs []Query, query func(*CompiledModel, context.Context, Query) (T, error), row func(T, error) Row) []Row {
+	out := make([]Row, len(qs))
 	p := cm.planBatchCtx(ctx, qs)
 	done := make([]bool, len(p.unique))
 	forErr := par.ForCtx(ctx, len(p.unique), func(i int) {
 		idx := p.unique[i]
-		r, err := cm.QueryCtx(ctx, qs[idx])
-		out[idx] = QueryResult{Results: r, Err: err}
+		out[idx] = row(query(cm, ctx, qs[idx]))
 		done[i] = true
 	})
 	if forErr != nil {
+		var zero T
 		for i, ok := range done {
 			if !ok {
-				out[p.unique[i]] = QueryResult{Err: core.Cancelled(forErr, 0, 0)}
+				out[p.unique[i]] = row(zero, core.Cancelled(forErr, 0, 0))
 			}
 		}
 	}
@@ -274,26 +287,9 @@ func (cm *CompiledModel) QueryBoundsBatch(qs []Query) []BoundsResult {
 // cancellation contract as QueryBatchCtx: prompt return, finished rows
 // intact, unfinished rows erroring with a wrapped ctx.Err().
 func (cm *CompiledModel) QueryBoundsBatchCtx(ctx context.Context, qs []Query) []BoundsResult {
-	out := make([]BoundsResult, len(qs))
-	p := cm.planBatchCtx(ctx, qs)
-	done := make([]bool, len(p.unique))
-	forErr := par.ForCtx(ctx, len(p.unique), func(i int) {
-		idx := p.unique[i]
-		b, err := cm.QueryBoundsCtx(ctx, qs[idx])
-		out[idx] = BoundsResult{Bounds: b, Err: err}
-		done[i] = true
+	return runBatch(ctx, cm, qs, (*CompiledModel).QueryBoundsCtx, func(b []Bounds, err error) BoundsResult {
+		return BoundsResult{Bounds: b, Err: err}
 	})
-	if forErr != nil {
-		for i, ok := range done {
-			if !ok {
-				out[p.unique[i]] = BoundsResult{Err: core.Cancelled(forErr, 0, 0)}
-			}
-		}
-	}
-	for i, j := range p.dup {
-		out[i] = out[j]
-	}
-	return out
 }
 
 // QueryBounds evaluates certified two-sided enclosures for an RR or RRL
@@ -314,7 +310,7 @@ func (cm *CompiledModel) QueryBoundsCtx(ctx context.Context, q Query) ([]Bounds,
 	if err != nil {
 		return nil, err
 	}
-	eval, err := m.regenEvaluatorCtx(ctx, q.Method, cm.bucketHorizon(core.MaxTime(q.Times)), q.Inverter)
+	eval, _, err := m.regenEvaluatorCtx(ctx, q.Method, cm.bucketHorizon(core.MaxTime(q.Times)), q.Inverter)
 	if err != nil {
 		return nil, err
 	}

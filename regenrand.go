@@ -1,7 +1,9 @@
 package regenrand
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"regenrand/internal/core"
 	"regenrand/internal/ctmc"
@@ -70,9 +72,10 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // The classic constructors below are thin wrappers over the compile/query
 // split (see Compile): each compiles the model in the memory-lean
-// non-retaining mode and binds its single measure, so the solver objects
-// behave exactly as before — including the deferred series construction and
-// horizon growth semantics — while sharing the compile-phase code paths.
+// non-retaining mode and binds its single measure. NewSR and NewRSD return
+// the measure's stepping solver; NewRR and NewRRL return a view that
+// answers through the measure's series cache and evaluators, with the
+// deferred series construction and horizon growth of the original solvers.
 
 // NewSR returns a standard-randomization (uniformization) solver, the
 // paper's SR baseline.
@@ -81,7 +84,7 @@ func NewSR(model *CTMC, rewards []float64, opts Options) (Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return uniform.NewFromDTMC(model, cm.dtmc, rewards, cm.opts)
+	return uniform.NewFromDTMC(model, cm.dtmc, rewards, cm.opts, nil)
 }
 
 // NewRSD returns a randomization-with-steady-state-detection solver for an
@@ -98,18 +101,7 @@ func NewRSD(model *CTMC, rewards []float64, opts Options) (Solver, error) {
 // given regenerative state (normally the most frequently visited state;
 // the paper uses the fault-free initial state).
 func NewRR(model *CTMC, rewards []float64, regenState int, opts Options) (Solver, error) {
-	if regenState < 0 {
-		return nil, fmt.Errorf("regen: invalid regenerative state %d", regenState)
-	}
-	cm, err := Compile(model, CompileOptions{Options: opts, RegenState: regenState, DisableRetention: true})
-	if err != nil {
-		return nil, err
-	}
-	m, err := cm.Measure(rewards)
-	if err != nil {
-		return nil, err
-	}
-	return regen.NewWithSource(m.binding, cm.opts)
+	return newRegenSolver(model, rewards, regenState, opts, MethodRR, RRLConfig{})
 }
 
 // NewRRL returns the paper's regenerative randomization with Laplace
@@ -122,10 +114,27 @@ func NewRRL(model *CTMC, rewards []float64, regenState int, opts Options) (Solve
 // NewRRLWithConfig returns an RRL solver with explicit inversion settings
 // (used by the T-factor and acceleration ablations).
 func NewRRLWithConfig(model *CTMC, rewards []float64, regenState int, opts Options, conf RRLConfig) (Solver, error) {
+	return newRegenSolver(model, rewards, regenState, opts, MethodRRL, conf)
+}
+
+// regenSolver is the RR or RRL solver of the classic constructors: one
+// measure of a non-retaining compiled model. A call whose largest time
+// exceeds every horizon seen so far asks the measure for the deeper series
+// and its evaluator; any other call reuses the evaluator of the deepest
+// horizon, so smaller times after larger ones read the deeper series.
+type regenSolver struct {
+	m       *CompiledMeasure
+	method  Method
+	horizon float64
+	eval    measureEvaluator
+	stats   core.Stats
+}
+
+func newRegenSolver(model *CTMC, rewards []float64, regenState int, opts Options, method Method, conf RRLConfig) (*regenSolver, error) {
 	if regenState < 0 {
-		return nil, fmt.Errorf("rrl: invalid regenerative state %d", regenState)
+		return nil, fmt.Errorf("regenrand: invalid regenerative state %d", regenState)
 	}
-	cm, err := Compile(model, CompileOptions{Options: opts, RegenState: regenState, DisableRetention: true})
+	cm, err := Compile(model, CompileOptions{Options: opts, RegenState: regenState, DisableRetention: true, RRL: conf})
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +142,79 @@ func NewRRLWithConfig(model *CTMC, rewards []float64, regenState int, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	return rrl.NewWithSource(m.binding, m.rho0, cm.opts, conf)
+	return &regenSolver{m: m, method: method}, nil
+}
+
+// Name returns "RR" or "RRL".
+func (s *regenSolver) Name() string { return string(s.method) }
+
+// Stats returns cost counters accumulated since the solver was created:
+// the series steps of every new horizon, the abscissae of every successful
+// call, and the time spent building series (Setup) and evaluating (Solve).
+func (s *regenSolver) Stats() Stats { return s.stats }
+
+// evaluator returns the evaluator for a batch of times, moving to a deeper
+// series when the batch's largest time exceeds the horizon so far.
+func (s *regenSolver) evaluator(ts []float64) (measureEvaluator, error) {
+	if err := core.CheckTimes(ts); err != nil {
+		return nil, err
+	}
+	h := core.MaxTime(ts)
+	if s.eval != nil && h <= s.horizon {
+		return s.eval, nil
+	}
+	start := time.Now()
+	eval, series, err := s.m.regenEvaluatorCtx(context.Background(), s.method, h, "")
+	if err != nil {
+		return nil, err
+	}
+	s.eval, s.horizon = eval, h
+	s.stats.BuildSteps += series.Steps()
+	s.stats.Setup += time.Since(start)
+	return eval, nil
+}
+
+// solve runs one call on the evaluator for ts and counts the abscissae of
+// the rows it returns; a failed call counts nothing.
+func solve[Row any](s *regenSolver, ts []float64, run func(measureEvaluator, context.Context, []float64) ([]Row, error), abscissae func(Row) int) ([]Row, error) {
+	eval, err := s.evaluator(ts)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	rows, err := run(eval, context.Background(), ts)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		s.stats.Abscissae += abscissae(r)
+	}
+	s.stats.Solve += time.Since(start)
+	return rows, nil
+}
+
+func resultAbscissae(r Result) int { return r.Abscissae }
+
+func boundsAbscissae(b Bounds) int { return b.Abscissae }
+
+// TRR implements Solver.
+func (s *regenSolver) TRR(ts []float64) ([]Result, error) {
+	return solve(s, ts, measureEvaluator.TRRCtx, resultAbscissae)
+}
+
+// MRR implements Solver.
+func (s *regenSolver) MRR(ts []float64) ([]Result, error) {
+	return solve(s, ts, measureEvaluator.MRRCtx, resultAbscissae)
+}
+
+// TRRBounds implements BoundingSolver.
+func (s *regenSolver) TRRBounds(ts []float64) ([]Bounds, error) {
+	return solve(s, ts, measureEvaluator.TRRBoundsCtx, boundsAbscissae)
+}
+
+// MRRBounds implements BoundingSolver.
+func (s *regenSolver) MRRBounds(ts []float64) ([]Bounds, error) {
+	return solve(s, ts, measureEvaluator.MRRBoundsCtx, boundsAbscissae)
 }
 
 // BuildRegenSeries exposes the regenerative-randomization characterization
