@@ -50,7 +50,7 @@ var (
 	modelCache = map[[2]int]*raid.Model{}
 )
 
-func raidModel(b *testing.B, g int, absorbing bool) *raid.Model {
+func raidModel(b testing.TB, g int, absorbing bool) *raid.Model {
 	b.Helper()
 	modelMu.Lock()
 	defer modelMu.Unlock()
@@ -539,8 +539,8 @@ func BenchmarkCompileColdStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	bandRewards := ctmc.RandomRewards(rand.New(rand.NewSource(43)), band, 1, false)
-	// Two horizons: t=5 stays inside the frontier growth phase (K ≪ BFS
-	// diameter ≈ 1250), t=100 runs well past saturation.
+	// Two horizons, both inside the frontier growth phase (BFS depth 1,465
+	// from the regenerative state): t=5 is a few dozen steps, t=100 is 615.
 	scenarios = append(scenarios,
 		scenario{name: "model=band1e4/t=5", model: band, rewards: bandRewards, regen: 0, t: 5},
 		scenario{name: "model=band1e4/t=100", model: band, rewards: bandRewards, regen: 0, t: 100},
@@ -715,32 +715,54 @@ func BenchmarkNearMissHorizons(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileRetention isolates the compile-phase retention cost on
-// the G=20 model: a full compile plus one t=1000 RRL query, with the
-// retained series as the dominant allocation. The compact (float32) mode
-// should halve B/op versus full retention; ε = 1e-6 gives the quantization
-// carve-out room to certify (compact retention rejects the paper's 1e-12).
+// BenchmarkCompileRetention isolates the compile-phase retention cost: a
+// full compile plus one RRL query, with the retained series as the dominant
+// allocation. On the G=20 model (t=1000, saturated after 31 of ~1,400
+// steps) the compact (float32) mode should halve B/op versus full
+// retention; ε = 1e-6 gives the quantization carve-out room to certify
+// (compact retention rejects the paper's 1e-12). On the 10⁴-state band
+// (t=100, paper ε) all 615 steps stay in the frontier's growth phase, where
+// each retained vector keeps only its reachable prefix. "MiB" is the
+// compile's RetainedBytes after the query.
 func BenchmarkCompileRetention(b *testing.B) {
 	m := raidModel(b, 20, false)
-	rewards := m.UnavailabilityRewards()
-	opts := regenrand.DefaultOptions()
-	opts.Epsilon = 1e-6
-	for _, mode := range []string{"full", "compact"} {
-		b.Run("mode="+mode, func(b *testing.B) {
+	band, err := ctmc.RandomBand(rand.New(rand.NewSource(42)), ctmc.BandOptions{States: 10000, Bandwidth: 8, Degree: 3, Absorbing: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	raidOpts := regenrand.DefaultOptions()
+	raidOpts.Epsilon = 1e-6
+	for _, sc := range []struct {
+		name    string
+		model   *regenrand.CTMC
+		regen   int
+		rewards []float64
+		opts    regenrand.Options
+		t       float64
+		compact bool
+	}{
+		{"mode=full", m.Chain, m.Pristine, m.UnavailabilityRewards(), raidOpts, 1000, false},
+		{"mode=compact", m.Chain, m.Pristine, m.UnavailabilityRewards(), raidOpts, 1000, true},
+		{"model=band1e4/t=100/mode=full", band, 0, ctmc.RandomRewards(rand.New(rand.NewSource(43)), band, 1, false), regenrand.DefaultOptions(), 100, false},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
 			var steps int
+			var retained int64
 			for i := 0; i < b.N; i++ {
-				cm, err := regenrand.Compile(m.Chain, regenrand.CompileOptions{
-					Options: opts, RegenState: m.Pristine, CompactRetention: mode == "compact",
+				cm, err := regenrand.Compile(sc.model, regenrand.CompileOptions{
+					Options: sc.opts, RegenState: sc.regen, CompactRetention: sc.compact,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := cm.Query(regenrand.Query{Rewards: rewards, Times: []float64{1000}}); err != nil {
+				if _, err := cm.Query(regenrand.Query{Rewards: sc.rewards, Times: []float64{sc.t}}); err != nil {
 					b.Fatal(err)
 				}
 				steps = cm.BuildSteps()
+				retained = cm.RetainedBytes()
 			}
 			b.ReportMetric(float64(steps), "steps")
+			b.ReportMetric(float64(retained)/(1<<20), "MiB")
 		})
 	}
 }

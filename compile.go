@@ -39,10 +39,12 @@ type CompileOptions struct {
 	RegenState int
 	// DisableRetention drops the stepped vectors of the regenerative series
 	// after compilation. Binding a new reward vector then re-runs the fused
-	// stepping pass instead of a sweep of dot products: memory falls from
-	// O(states · K) to O(states), queries over already-bound rewards are
-	// unaffected. The thin wrapper constructors (NewSR, NewRRL, ...) compile
-	// in this mode.
+	// stepping pass instead of a sweep of dot products: memory falls to
+	// O(states) from the retained vectors' — each vector's reachable prefix
+	// while the model's reachability frontier grows, all states per step
+	// after, so O(states · K) once saturated. Queries over already-bound
+	// rewards are unaffected. The thin wrapper constructors (NewSR, NewRRL,
+	// ...) compile in this mode.
 	DisableRetention bool
 	// CompactRetention retains the stepped vectors as float32 roundings,
 	// halving the compile phase's dominant memory cost (8·states·K →

@@ -1,10 +1,13 @@
 package regenrand_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"regenrand"
+	"regenrand/internal/ctmc"
 )
 
 // raidTestModel builds a small RAID availability model (irreducible, so all
@@ -103,29 +106,114 @@ func TestCompiledQueryMatchesClassicSolvers(t *testing.T) {
 	}
 }
 
-// Retention must not change values: the retained-vector binding and the
-// re-stepping binding are the same arithmetic.
+// Retention must not change values. A cold full-retention compile dots the
+// extending binding's rewards in the stepping kernels; a PrebuildHorizon
+// compile replays every coefficient from retained vectors (packed while the
+// frontier grows); a non-retaining compile steps each binding's own chains;
+// a snapshot-reloaded compile replays a restored prefix and extends it. All
+// four are the same arithmetic. The 10⁴-state band stays in its frontier
+// phase throughout; G=20 from regenerative state 1 (α_r = 0, so a primed
+// chain) saturates at step 31. Bindings A and B interleave with growing
+// horizons, so A's third query pre-replays the coefficients B's extension
+// stepped past before riding its own.
 func TestRetentionModesAgreeBitwise(t *testing.T) {
-	model, ua := raidTestModel(t, 1)
+	avail, err := regenrand.BuildRAID(regenrand.DefaultRAIDParams(20), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band, err := ctmc.RandomBand(rand.New(rand.NewSource(42)), ctmc.BandOptions{States: 10000, Bandwidth: 8, Degree: 3, Absorbing: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type scenario struct {
+		name       string
+		model      *regenrand.CTMC
+		regen      int
+		a, b       []float64
+		t1, t2, t3 float64
+		snapT      float64 // horizon of the snapshotted prefix, below t1
+	}
+	scs := []scenario{
+		{"band1e4", band, 0,
+			ctmc.RandomRewards(rand.New(rand.NewSource(43)), band, 1, false),
+			ctmc.RandomRewards(rand.New(rand.NewSource(44)), band, 1, false),
+			10, 40, 100, 2},
+		{"G20/regen=1", avail.Chain, 1, avail.UnavailabilityRewards(), perfRewards(avail.Chain.N()) /* rmax 3 */, 0.5, 2, 5, 0.05},
+	}
+	if testing.Short() {
+		scs[0].t1, scs[0].t2, scs[0].t3 = 5, 10, 20
+	}
 	opts := regenrand.DefaultOptions()
-	retained, err := regenrand.Compile(model, regenrand.CompileOptions{Options: opts})
-	if err != nil {
-		t.Fatal(err)
+	for _, sc := range scs {
+		copts := regenrand.CompileOptions{Options: opts, RegenState: sc.regen}
+		compile := func(c regenrand.CompileOptions) *regenrand.CompiledModel {
+			t.Helper()
+			cm, err := regenrand.Compile(sc.model, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cm
+		}
+		prebuilt := copts
+		prebuilt.PrebuildHorizon = 3 * sc.t3 // covers rmax 3
+		lean := copts
+		lean.DisableRetention = true
+		seed := copts
+		seed.PrebuildHorizon = sc.snapT
+		blob, err := compile(seed).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := regenrand.LoadSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cms := []*regenrand.CompiledModel{compile(copts), compile(prebuilt), compile(lean), reloaded}
+		names := []string{"cold", "prebuilt", "non-retaining", "reloaded"}
+		prebuiltSteps, reloadedSteps := cms[1].BuildSteps(), cms[3].BuildSteps()
+		type answer struct {
+			values []regenrand.Result
+			bounds []regenrand.Bounds
+		}
+		for qi, q := range []struct {
+			rewards []float64
+			t       float64
+		}{{sc.a, sc.t1}, {sc.b, sc.t2}, {sc.a, sc.t3}} {
+			var want []answer
+			for ci, cm := range cms {
+				var got []answer
+				for _, measure := range []regenrand.MeasureKind{regenrand.MeasureTRR, regenrand.MeasureMRR} {
+					query := regenrand.Query{Measure: measure, Rewards: q.rewards, Times: []float64{q.t / 4, q.t}}
+					v, err := cm.Query(query)
+					if err != nil {
+						t.Fatalf("%s %s query %d: %v", sc.name, names[ci], qi, err)
+					}
+					b, err := cm.QueryBounds(query)
+					if err != nil {
+						t.Fatalf("%s %s query %d bounds: %v", sc.name, names[ci], qi, err)
+					}
+					got = append(got, answer{v, b})
+				}
+				if ci == 0 {
+					want = got
+					continue
+				}
+				for i := range got {
+					ctx := fmt.Sprintf("%s %s query %d measure %d", sc.name, names[ci], qi, i)
+					bitsEqualResults(t, ctx, got[i].values, want[i].values)
+					bitsEqualBounds(t, ctx, got[i].bounds, want[i].bounds)
+				}
+			}
+		}
+		// The prebuilt compile only replayed; the others stepped past the
+		// snapshotted prefix.
+		if got := cms[1].BuildSteps(); got != prebuiltSteps {
+			t.Errorf("%s: the prebuilt compile stepped from %d to %d steps", sc.name, prebuiltSteps, got)
+		}
+		if cold, got := cms[0].BuildSteps(), cms[3].BuildSteps(); got <= reloadedSteps || got != cold {
+			t.Errorf("%s: the reloaded compile went from %d to %d steps, the cold one to %d", sc.name, reloadedSteps, got, cold)
+		}
 	}
-	lean, err := regenrand.Compile(model, regenrand.CompileOptions{Options: opts, DisableRetention: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := regenrand.Query{Method: regenrand.MethodRRL, Rewards: ua, Times: []float64{1, 50, 400}}
-	a, err := retained.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lean.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsEqualResults(t, "retention modes", a, b)
 }
 
 // Certified bounds through the engine must match the classic bounding

@@ -74,28 +74,35 @@ func TestExtensionThenQueryBitwise(t *testing.T) {
 }
 
 // Concurrent extensions racing on one compiled model — eight goroutines
-// sweeping interleaved ascending horizons over the same measure — must
-// every one observe answers bitwise-identical to a serial loop on a fresh
-// model. The chain store is append-only and extension is deterministic, so
-// whoever extends first, everyone reads the same prefix. Run under -race.
+// sweeping interleaved ascending horizons over two measures — must every
+// one observe answers bitwise-identical to a serial loop on a fresh model.
+// The chain store is append-only and extension is deterministic, so
+// whoever extends first, everyone reads the same prefix; on the retaining
+// compile the extending measure dots its rewards while stepping and the
+// other replays, racing on both measures' coefficient stores. Run under
+// -race.
 func TestConcurrentExtensionBitwise(t *testing.T) {
 	sc := plannerModels(t)[0] // Fig 3 G=20
 	n := sc.model.N()
-	rw := regenrand.RewardsFrom(n, func(i int) float64 {
-		return float64((i*17+5)%7) / 6
-	})
+	rws := [][]float64{
+		regenrand.RewardsFrom(n, func(i int) float64 { return float64((i*17+5)%7) / 6 }),
+		regenrand.RewardsFrom(n, func(i int) float64 { return float64((i*29+3)%11) / 10 }),
+	}
 	horizons := []float64{2, 5, 10, 20, 50, 100, 200, 500}
 
 	for _, disableRetention := range []bool{false, true} {
 		t.Run(fmt.Sprintf("retain=%v", !disableRetention), func(t *testing.T) {
 			serial := compileFor(t, sc, regenrand.CompileOptions{DisableRetention: disableRetention})
-			want := make(map[float64][]regenrand.Result, len(horizons))
-			for _, h := range horizons {
-				res, err := serial.Query(regenrand.Query{Method: regenrand.MethodRRL, Rewards: rw, Times: []float64{h}})
-				if err != nil {
-					t.Fatal(err)
+			want := make([]map[float64][]regenrand.Result, len(rws))
+			for ri, rw := range rws {
+				want[ri] = make(map[float64][]regenrand.Result, len(horizons))
+				for _, h := range horizons {
+					res, err := serial.Query(regenrand.Query{Method: regenrand.MethodRRL, Rewards: rw, Times: []float64{h}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[ri][h] = res
 				}
-				want[h] = res
 			}
 
 			cm := compileFor(t, sc, regenrand.CompileOptions{DisableRetention: disableRetention})
@@ -117,7 +124,7 @@ func TestConcurrentExtensionBitwise(t *testing.T) {
 					// extensions of the same chains throughout the run.
 					for k := 0; k < len(horizons); k++ {
 						h := horizons[(k+w)%len(horizons)]
-						res, err := cm.Query(regenrand.Query{Method: regenrand.MethodRRL, Rewards: rw, Times: []float64{h}})
+						res, err := cm.Query(regenrand.Query{Method: regenrand.MethodRRL, Rewards: rws[w%len(rws)], Times: []float64{h}})
 						results <- outcome{w, h, res, err}
 					}
 				}(w)
@@ -128,7 +135,7 @@ func TestConcurrentExtensionBitwise(t *testing.T) {
 				if o.err != nil {
 					t.Fatalf("worker %d horizon %v: %v", o.worker, o.h, o.err)
 				}
-				bitsEqualResults(t, fmt.Sprintf("worker %d horizon %v", o.worker, o.h), o.res, want[o.h])
+				bitsEqualResults(t, fmt.Sprintf("worker %d horizon %v", o.worker, o.h), o.res, want[o.worker%len(rws)][o.h])
 			}
 		})
 	}

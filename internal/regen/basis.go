@@ -18,11 +18,14 @@ import (
 //
 // It owns the shared uniformized DTMC and, in retaining mode, the
 // reward-free chain statistics a(k), q_k, v^i_k together with every stepped
-// vector u_k (primed counterparts when α_r < 1). Binding a reward vector is
-// then a sweep of chunk-deterministic dot products over the retained
-// vectors (sparse.RewardDotMulti, whose per-pair arithmetic is that of
-// sparse.Matrix.RewardDotFused) instead of a fresh stepping pass, and
-// yields a Series bitwise-identical to Build. In non-retaining mode the
+// vector u_k (primed counterparts when α_r < 1; packed to the active prefix
+// while the reachability frontier grows). Binding a reward vector is then a
+// sweep of chunk-deterministic dot products over the retained vectors
+// (sparse.FrontierRewardDot and sparse.RewardDotMulti, whose per-pair
+// arithmetic is that of the stepping kernel that made each vector) instead
+// of a fresh stepping pass, and yields a Series bitwise-identical to Build;
+// the binding whose query extends a full-precision chain dots its rewards
+// while stepping instead. In non-retaining mode the
 // Basis only shares the DTMC and each binding owns one-lane reward-carrying
 // incremental chains (O(states) working vectors, O(K) scalars) that extend
 // monotonically as horizons grow — the memory-lean configuration the wrapper
@@ -69,23 +72,27 @@ const (
 	// extended monotonically across horizons.
 	RetainNone RetainMode = iota
 	// RetainFull keeps every stepped vector at working precision; binding
-	// replays are bitwise-identical to a fused build (memory O(8·states·K)
-	// bytes).
+	// replays are bitwise-identical to a fused build. Memory is 8 bytes per
+	// retained entry: a vector made while the reachability frontier still
+	// grows keeps only its active prefix (the rows the step could reach), so
+	// it is O(8·states·K) only once the frontier has saturated.
 	RetainFull
 	// RetainCompact keeps float32 roundings of the stepped vectors, halving
-	// retention memory. Binding replays dot the rounded vectors, so bound
-	// series are NOT bitwise-identical to a fused build; the quantization
-	// error is charged against an explicit slice of the truncation budget
-	// (see Binding.truncBudget), keeping every result certified within
-	// Epsilon. Requires Epsilon comfortably above 2⁻²³·rmax.
+	// retention memory (frontier-phase vectors packed as under RetainFull).
+	// Binding replays dot the rounded vectors, so bound series are NOT
+	// bitwise-identical to a fused build; the quantization error is charged
+	// against an explicit slice of the truncation budget (see
+	// Binding.truncBudget), keeping every result certified within Epsilon.
+	// Requires Epsilon comfortably above 2⁻²³·rmax.
 	RetainCompact
 )
 
 // NewBasisMode validates the reward-independent inputs, uniformizes the
 // model once, and returns a Basis. mode selects what is kept of the stepped
-// vectors for later reward binding: all of them (RetainFull, memory
-// O(states · K)), their float32 roundings (RetainCompact), or nothing, so
-// each binding re-steps (RetainNone).
+// vectors for later reward binding: all of them (RetainFull; each vector's
+// reachable prefix while the frontier grows, O(states) per step after), their
+// float32 roundings (RetainCompact), or nothing, so each binding re-steps
+// (RetainNone).
 func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode RetainMode) (*Basis, error) {
 	if err := validateRegenInputs(model, regenState, &opts); err != nil {
 		return nil, err
@@ -158,34 +165,9 @@ type chainSnapshot struct {
 	us32 [][]float32
 }
 
-// extend grows the recorded chain until the truncation bound for (rmax, lam)
-// holds at the current depth (or the chain is exhausted), and returns an
-// immutable snapshot. pred must be the same monotone bound Build uses, so
-// the binary-searched truncation level below is bitwise-identical to a
-// fresh fused build.
-//
-// ctx is tested once per step: a cancel returns within one step's latency,
-// carrying the steps this call completed in a core.CancelError. The steps
-// already taken stay in the chain store — extension is append-only — so a
-// retry resumes where the cancelled call stopped and reaches bitwise the
-// same chain it would have built uninterrupted.
-func (b *Basis) extend(ctx context.Context, cs *chainState, pred func(a []float64, level int) bool) (chainSnapshot, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	base := len(cs.a) - 1
-	steps := 0
-	for !cs.done {
-		level := len(cs.a) - 1
-		if pred(cs.a, level) {
-			break
-		}
-		if err := checkpoint(ctx, steps); err != nil {
-			return chainSnapshot{}, err
-		}
-		cs.step(b.dtmc, b.plan)
-		steps++
-	}
-	noteExtension(base, steps)
+// snapshot returns an immutable view of the chain's current prefix; caller
+// holds b.mu.
+func (cs *chainState) snapshot() chainSnapshot {
 	snap := chainSnapshot{
 		a:    cs.a[:len(cs.a):len(cs.a)],
 		q:    cs.q[:len(cs.q):len(cs.q)],
@@ -196,7 +178,52 @@ func (b *Basis) extend(ctx context.Context, cs *chainState, pred func(a []float6
 	for i := range cs.v {
 		snap.v[i] = cs.v[i][:len(cs.v[i]):len(cs.v[i])]
 	}
-	return snap, nil
+	return snap
+}
+
+// extend grows the recorded chain until the truncation bound for (rmax, lam)
+// holds at the current depth (or the chain is exhausted), and returns an
+// immutable snapshot. pred must be the same monotone bound Build uses, so
+// the binary-searched truncation level below is bitwise-identical to a
+// fresh fused build.
+//
+// When bd is non-nil and the basis retains at full precision, the binding
+// rides the extension instead of replaying it afterwards: its b(k) are first
+// replayed up to the current depth, then each step dots bd's rewards in the
+// stepping kernel itself and appends b(k+1) = dot/a(k+1) to the binding's
+// store (bitwise the replayed value: a frontier step's dot is what
+// sparse.FrontierRewardDot replays, a full-sweep step's what
+// sparse.RewardDotMulti does). Compact retention always replays, because its
+// replay dots the float32 roundings.
+//
+// ctx is tested once per step: a cancel returns within one step's latency,
+// carrying the steps this call completed in a core.CancelError. The steps
+// already taken stay in the chain store — extension is append-only — and so
+// do the coefficients bd gained, so a retry resumes where the cancelled call
+// stopped and reaches bitwise the same chain it would have built
+// uninterrupted. Lock order is b.mu, then bd.mu.
+func (b *Basis) extend(ctx context.Context, cs *chainState, pred func(a []float64, level int) bool, bd *Binding, prime bool) (chainSnapshot, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	base := cs.stepIndex()
+	var rewards []float64
+	if bd != nil && b.mode == RetainFull && !cs.done && !pred(cs.a, base) {
+		b.fillMany([]*Binding{bd}, cs.snapshot(), []int{base}, prime)
+		rewards = bd.rewards
+	}
+	steps := 0
+	for !cs.done && !pred(cs.a, cs.stepIndex()) {
+		if err := checkpoint(ctx, steps); err != nil {
+			return chainSnapshot{}, err
+		}
+		dot := cs.step(b.dtmc, b.plan, rewards)
+		if rewards != nil {
+			bd.appendStepped(prime, cs.stepIndex(), dot, cs.a[cs.stepIndex()])
+		}
+		steps++
+	}
+	noteExtension(base, steps)
+	return cs.snapshot(), nil
 }
 
 // Binding is the reward-dependent layer over a Basis: one rewards vector,
@@ -298,10 +325,12 @@ func (b *Basis) chainBudget() float64 {
 // SeriesForCtx returns the regenerative-randomization series of the bound
 // rewards certified for the given horizon — bitwise-identical to
 // Build(model, rewards, regenState, opts, horizon), but at the cost of a
-// coefficient binding (retaining basis, amortized across horizons) or a
-// monotone extension of the binding's own incremental chains (non-retaining
-// basis; a deeper horizon pays only the steps between the two truncation
-// depths) instead of uniformize + step.
+// coefficient binding (retaining basis, amortized across horizons; when
+// the horizon extends a full-precision chain, the new steps dot these
+// rewards as they run, see extend) or a monotone extension of the
+// binding's own incremental chains (non-retaining basis; a deeper horizon
+// pays only the steps between the two truncation depths) instead of
+// uniformize + step.
 // Under compact retention the b coefficients come from float32-rounded
 // vectors (not bitwise-identical to Build); the truncation levels then
 // certify against the quantization-reduced budget of truncBudget, so the
@@ -329,7 +358,7 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 	mainPred := func(a []float64, level int) bool {
 		return truncErrS(bd.rmax, a, level, lam) <= budget
 	}
-	snap, err := b.extend(ctx, b.main, mainPred)
+	snap, err := b.extend(ctx, b.main, mainPred, bd, false)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +370,7 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 		primePred := func(a []float64, level int) bool {
 			return truncErrP(bd.rmax, a, level, lam) <= budget
 		}
-		psnap, err := b.extend(ctx, b.prime, primePred)
+		psnap, err := b.extend(ctx, b.prime, primePred, bd, true)
 		if err != nil {
 			return nil, err
 		}
@@ -498,13 +527,13 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 	}
 	if _, err := b.extend(ctx, b.main, func(a []float64, level int) bool {
 		return truncErrS(1, a, level, lam) <= budget
-	}); err != nil {
+	}, nil, false); err != nil {
 		return err
 	}
 	if b.prime != nil {
 		if _, err := b.extend(ctx, b.prime, func(a []float64, level int) bool {
 			return truncErrP(1, a, level, lam) <= budget
-		}); err != nil {
+		}, nil, true); err != nil {
 			return err
 		}
 	}
@@ -553,7 +582,7 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 		}
 		return true
 	}
-	snap, err := b.extend(ctx, b.main, mainPred)
+	snap, err := b.extend(ctx, b.main, mainPred, nil, false)
 	if err != nil {
 		return err
 	}
@@ -575,7 +604,7 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 			}
 			return true
 		}
-		psnap, err := b.extend(ctx, b.prime, primePred)
+		psnap, err := b.extend(ctx, b.prime, primePred, nil, true)
 		if err != nil {
 			return err
 		}
@@ -605,6 +634,24 @@ func (bd *Binding) store(prime bool) *[]float64 {
 		return &bd.bPrime
 	}
 	return &bd.bMain
+}
+
+// appendStepped appends b(k) = dot/a(k) from the step that made u_k when
+// the store holds exactly b(0..k−1); any other store is left for fillMany
+// to complete.
+func (bd *Binding) appendStepped(prime bool, k int, dot, ak float64) {
+	bd.mu.Lock()
+	defer bd.mu.Unlock()
+	st := bd.store(prime)
+	if len(*st) != k {
+		return
+	}
+	var bk float64
+	if ak > 0 {
+		bk = dot / ak
+	}
+	*st = append(*st, bk)
+	bd.bytes.Add(8)
 }
 
 // fillMany computes the missing b(0..tops[i]) of every binding over one

@@ -237,66 +237,37 @@ func newZeroPlan(n, regen int, absorbing []int) *zeroPlan {
 	return p
 }
 
-// slabArena hands out zeroed n-vectors carved from large contiguous blocks.
-// Retaining chains used to allocate one []float64 per step, scattering the
+// slabArena hands out retained vectors carved from large contiguous blocks.
+// Retaining chains used to allocate one slice per step, scattering the
 // retained vectors across the heap; slab allocation keeps consecutive u_k
 // contiguous, which is what the batched reward-dot sweeps of the compile
-// phase stream over.
-type slabArena struct {
-	n   int
-	buf []float64
+// phase stream over. A vector may be shorter than a row (a packed
+// frontier-phase vector); a slab tail too short for the next vector is left
+// unused.
+type slabArena[T sparse.Real] struct {
+	slab int // elements per slab
+	buf  []T
 }
 
-// slabVectors sizes slabs at ~2 MiB of float64s, at least 8 vectors.
-func slabVectors(n int) int {
-	v := (1 << 18) / n
-	if v < 8 {
-		v = 8
+// newSlabArena sizes slabs at ~2 MiB, at least eight rows of n elements of
+// elemBytes each.
+func newSlabArena[T sparse.Real](n, elemBytes int) slabArena[T] {
+	return slabArena[T]{slab: max((2<<20)/(elemBytes*n), 8) * n}
+}
+
+func (sa *slabArena[T]) next(l int) []T {
+	if len(sa.buf) < l {
+		sa.buf = make([]T, max(sa.slab, l))
 	}
-	return v
-}
-
-func (sa *slabArena) next() []float64 {
-	if len(sa.buf) < sa.n {
-		sa.buf = make([]float64, slabVectors(sa.n)*sa.n)
-	}
-	v := sa.buf[:sa.n:sa.n]
-	sa.buf = sa.buf[sa.n:]
-	return v
-}
-
-// slab32Arena is the float32 counterpart for compact retention: same ~2 MiB
-// slabs, twice the vectors per slab, half the retained bytes per step.
-type slab32Arena struct {
-	n   int
-	buf []float32
-}
-
-func (sa *slab32Arena) next() []float32 {
-	if len(sa.buf) < sa.n {
-		v := (1 << 19) / sa.n
-		if v < 8 {
-			v = 8
-		}
-		sa.buf = make([]float32, v*sa.n)
-	}
-	v := sa.buf[:sa.n:sa.n]
-	sa.buf = sa.buf[sa.n:]
-	return v
-}
-
-// roundFrom retains a float32 rounding of u (round-to-nearest per entry).
-func (sa *slab32Arena) roundFrom(u []float64) []float32 {
-	v := sa.next()
-	for i, x := range u {
-		v[i] = float32(x)
-	}
+	v := sa.buf[:l:l]
+	sa.buf = sa.buf[l:]
 	return v
 }
 
 // chainState steps one restricted chain (regenerative or primed) and
 // records its reward-free statistics a, q, v; reward series ride on top of
-// it (multiChain) or are replayed later from retained vectors (Binding).
+// it (multiChain, or the binding that extends a full-precision basis) or are
+// replayed later from retained vectors (Binding).
 //
 // When fr is non-nil the chain steps through the reachability-frontier
 // kernels until the frontier saturates (see sparse.Frontier); the kernel
@@ -304,48 +275,72 @@ func (sa *slab32Arena) roundFrom(u []float64) []float32 {
 // chain — fused builds, basis extensions and reward replays — performs
 // bit-for-bit identical arithmetic for a given step.
 type chainState struct {
-	fr       *sparse.Frontier
+	fr *sparse.Frontier
+	// u is the current vector in row layout and buf the working vector the
+	// next step writes, ping-ponged with u — except that a full-precision
+	// recording chain past the frontier phase steps into a fresh slab row
+	// and retains it as u.
 	u, buf   []float64
 	zeroVals []float64
 	a, q     []float64
 	v        [][]float64
 	done     bool
 	// record retains every post-zeroing stepped vector, the raw material for
-	// binding reward vectors after the fact: at working precision in us
-	// (us[k] = u_k, slab-contiguous, never overwritten), or — when compact
-	// is set — as float32 roundings in us32 while the float64 stepping
-	// ping-pongs through two working buffers exactly like a non-recording
-	// chain (the stepped trajectory itself stays full precision; only what
-	// is kept for replay is rounded).
+	// binding reward vectors after the fact: at working precision in us, or
+	// — when compact is set — as float32 roundings in us32 (the stepped
+	// trajectory itself stays full precision; only what is kept for replay
+	// is rounded). A vector made by a frontier step keeps only its active
+	// prefix, in the frontier's visitation order (see packed); u₀ and the
+	// vectors of later steps keep row layout. Retained vectors are never
+	// overwritten.
 	record  bool
 	compact bool
 	us      [][]float64
 	us32    [][]float32
-	arena   slabArena
-	arena32 slab32Arena
+	arena   slabArena[float64]
+	arena32 slabArena[float32]
 	// bytes, when non-nil, accumulates the retained heap bytes of this chain
-	// (stepped vectors plus per-step statistics) — the per-artifact size
-	// accounting byte-budget cache eviction reads. Updated per step with one
-	// atomic add so readers never contend on the basis lock a long extension
-	// holds.
+	// (stored vector lengths plus per-step statistics) — the per-artifact
+	// size accounting byte-budget cache eviction reads. Updated per step
+	// with one atomic add so readers never contend on the basis lock a long
+	// extension holds.
 	bytes *atomic.Int64
 	n     int
 }
 
-// retainedStepBytes returns the heap bytes one recorded step adds: the
-// retained vector at the chain's retention precision plus the appended
-// a/q/v statistics.
-func (cs *chainState) retainedStepBytes() int64 {
-	stats := int64(2+len(cs.v)) * 8
-	if cs.compact {
-		return int64(cs.n)*4 + stats
+// frontierStep reports whether the step with the given index runs the
+// frontier kernel.
+func (cs *chainState) frontierStep(step int) bool {
+	return cs.fr != nil && !cs.fr.Saturated(step)
+}
+
+// packed reports whether retained vector k is stored in the frontier's
+// packed layout (sparse.PackFrontier): a frontier step made it.
+func (cs *chainState) packed(k int) bool { return k >= 1 && cs.frontierStep(k-1) }
+
+// retainedLen returns the stored length of retained vector k.
+func (cs *chainState) retainedLen(k int) int {
+	if cs.packed(k) {
+		return cs.fr.PackedLen(k - 1)
 	}
-	if cs.record {
-		return int64(cs.n)*8 + stats
+	return cs.n
+}
+
+// retainedBytes returns the heap bytes that recording vector k adds: the
+// stored vector at the chain's retention precision plus the appended
+// a/q/v statistics.
+func (cs *chainState) retainedBytes(k int) int64 {
+	stats := int64(2+len(cs.v)) * 8
+	switch {
+	case cs.compact:
+		return int64(cs.retainedLen(k))*4 + stats
+	case cs.record:
+		return int64(cs.retainedLen(k))*8 + stats
 	}
 	return stats
 }
 
+// newChainState starts a chain at u0, which it takes ownership of.
 func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, a0 float64, record, compact bool, bytes *atomic.Int64) *chainState {
 	cs := &chainState{
 		fr:       fr,
@@ -353,34 +348,30 @@ func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, a0 
 		v:        make([][]float64, len(plan.absPos)),
 		record:   record,
 		compact:  record && compact,
-		arena:    slabArena{n: n},
-		arena32:  slab32Arena{n: n},
 		bytes:    bytes,
 		n:        n,
 	}
 	switch {
 	case cs.compact:
-		cs.u = make([]float64, n)
-		copy(cs.u, u0)
-		cs.buf = make([]float64, n)
-		cs.us32 = append(cs.us32, cs.arena32.roundFrom(u0))
+		cs.arena32 = newSlabArena[float32](n, 4)
+		x := cs.arena32.next(n)
+		for i, v := range u0 {
+			x[i] = float32(v)
+		}
+		cs.us32 = append(cs.us32, x)
 	case record:
-		// Copy u0 into the arena so the whole retained sequence is slabbed.
-		v := cs.arena.next()
-		copy(v, u0)
-		cs.u = v
-		cs.us = append(cs.us, v)
-		cs.buf = cs.arena.next()
-	default:
-		cs.u = u0
-		cs.buf = make([]float64, n)
+		cs.arena = newSlabArena[float64](n, 8)
+		x := cs.arena.next(n)
+		copy(x, u0)
+		cs.us = append(cs.us, x)
 	}
+	cs.u, cs.buf = u0, make([]float64, n)
 	cs.a = append(cs.a, a0)
 	if !(a0 > 0) {
 		cs.done = true
 	}
 	if cs.bytes != nil {
-		cs.bytes.Add(cs.retainedStepBytes())
+		cs.bytes.Add(cs.retainedBytes(0))
 	}
 	return cs
 }
@@ -389,47 +380,62 @@ func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, a0 
 // u_stepIndex to u_stepIndex+1).
 func (cs *chainState) stepIndex() int { return len(cs.a) - 1 }
 
-// useFrontier reports whether the next step runs the frontier kernel.
-func (cs *chainState) useFrontier() bool {
-	return cs.fr != nil && !cs.fr.Saturated(cs.stepIndex())
-}
-
-// step advances the chain one randomized step, recording a, q, v. The
-// vector–matrix product, the zeroing of the regenerative and absorbing
-// destinations and the surviving ℓ₁ mass a(k+1) all come out of a single
-// fused kernel pass — frontier-restricted while the reachable set is still
-// growing, full-sweep after.
-func (cs *chainState) step(d *ctmc.DTMC, plan *zeroPlan) {
-	var next float64
-	if cs.useFrontier() {
-		next, _ = cs.fr.StepFused(cs.stepIndex(), cs.buf, cs.u, nil, plan.zpos, cs.zeroVals)
+// step advances the chain one randomized step, recording a, q, v, and
+// returns the step's reward dot u_{k+1}·rewards (0 when rewards is nil).
+// The vector–matrix product, the zeroing of the regenerative and absorbing
+// destinations, the surviving ℓ₁ mass a(k+1) and the reward dot all come
+// out of a single fused kernel pass — frontier-restricted while the
+// reachable set is still growing, full-sweep after.
+func (cs *chainState) step(d *ctmc.DTMC, plan *zeroPlan, rewards []float64) float64 {
+	var next, dot float64
+	if k := cs.stepIndex(); cs.frontierStep(k) {
+		next, dot = cs.fr.StepFused(k, cs.buf, cs.u, rewards, plan.zpos, cs.zeroVals)
 	} else {
-		next, _ = d.StepFused(cs.buf, cs.u, nil, plan.zero, cs.zeroVals)
+		if cs.record && !cs.compact {
+			cs.buf = cs.arena.next(cs.n)
+		}
+		next, dot = d.StepFused(cs.buf, cs.u, rewards, plan.zero, cs.zeroVals)
 	}
 	cs.finishStep(plan, next)
+	return dot
 }
 
 // finishStep records the outputs of one fused step (however it was
 // computed) and rotates the buffers.
 func (cs *chainState) finishStep(plan *zeroPlan, next float64) {
-	ak := cs.a[len(cs.a)-1]
+	step := cs.stepIndex()
+	ak := cs.a[step]
 	cs.q = append(cs.q, cs.zeroVals[plan.regenPos]/ak)
 	for i, p := range plan.absPos {
 		cs.v[i] = append(cs.v[i], cs.zeroVals[p]/ak)
 	}
 	cs.u, cs.buf = cs.buf, cs.u
-	if cs.compact {
-		cs.us32 = append(cs.us32, cs.arena32.roundFrom(cs.u))
-	} else if cs.record {
+	frontier := cs.frontierStep(step)
+	switch {
+	case cs.compact:
+		x := cs.arena32.next(cs.retainedLen(step + 1))
+		if frontier {
+			sparse.PackFrontier(cs.fr, step, x, cs.u)
+		} else {
+			for i, v := range cs.u {
+				x[i] = float32(v)
+			}
+		}
+		cs.us32 = append(cs.us32, x)
+	case cs.record && frontier:
+		x := cs.arena.next(cs.retainedLen(step + 1))
+		sparse.PackFrontier(cs.fr, step, x, cs.u)
+		cs.us = append(cs.us, x)
+	case cs.record:
 		cs.us = append(cs.us, cs.u)
-		cs.buf = cs.arena.next()
+		cs.buf = nil // a retained row or a dropped working vector
 	}
 	cs.a = append(cs.a, next)
 	if !(next > 0) || next < underflowFloor {
 		cs.done = true
 	}
 	if cs.bytes != nil {
-		cs.bytes.Add(cs.retainedStepBytes())
+		cs.bytes.Add(cs.retainedBytes(step + 1))
 	}
 }
 
@@ -497,17 +503,9 @@ func (mc *multiChain) recordB(next float64, dots []float64) {
 // specialized single-lane fused kernel; more lanes go through the generic
 // multi-lane kernel — per-lane results are bitwise-identical either way.
 func (mc *multiChain) step(d *ctmc.DTMC, plan *zeroPlan) {
-	cs := mc.cs
 	if len(mc.rewardsList) == 1 {
-		var next, dot float64
-		if cs.useFrontier() {
-			next, dot = cs.fr.StepFused(cs.stepIndex(), cs.buf, cs.u, mc.rewardsList[0], plan.zpos, cs.zeroVals)
-		} else {
-			next, dot = d.StepFused(cs.buf, cs.u, mc.rewardsList[0], plan.zero, cs.zeroVals)
-		}
-		mc.dots[0] = dot
-		mc.recordB(next, mc.dots)
-		cs.finishStep(plan, next)
+		mc.dots[0] = mc.cs.step(d, plan, mc.rewardsList[0])
+		mc.recordB(mc.cs.a[len(mc.cs.a)-1], mc.dots)
 		return
 	}
 	stepMulti(d, plan, []*multiChain{mc})

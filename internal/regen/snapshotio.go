@@ -3,13 +3,18 @@ package regen
 import (
 	"fmt"
 	"math"
+
+	"regenrand/internal/sparse"
 )
 
 // ChainDump is the serializable state of one retained chain of a Basis: the
 // per-step statistics plus the retained stepped vectors, flattened into one
-// contiguous slab (the on-disk layout of the snapshot subsystem). A dump of
-// a chain after k steps has len(A) == k+1, len(Q) == k and len(V[i]) == k,
-// and a retained slab of (k+1)·n entries.
+// contiguous row-major slab (the on-disk layout of the snapshot subsystem).
+// A dump of a chain after k steps has len(A) == k+1, len(Q) == k and
+// len(V[i]) == k, and a retained slab of (k+1)·n entries. In memory a chain
+// keeps its frontier-phase vectors packed to their active prefix; dumping
+// scatters them back to rows and restoring packs them again, so the slab
+// does not depend on that layout.
 //
 // Exactly one of UsFlat/Us32Flat is populated, per the basis's retention
 // precision. Under compact retention the float64 stepping trajectory is NOT
@@ -37,10 +42,10 @@ type ChainDump struct {
 func (d *ChainDump) steps() int { return len(d.A) - 1 }
 
 // DumpChains copies the retained chain state of the basis into serializable
-// dumps (nil, nil on a non-retaining basis; prime is nil when α_r = 1). The
-// copy is taken under the basis lock, so it is a consistent prefix even
-// while concurrent queries extend the chains; the returned dumps share no
-// memory with the basis.
+// dumps (nil, nil on a non-retaining basis; prime is nil when α_r = 1),
+// scattering packed vectors back to row layout. The copy is taken under the
+// basis lock, so it is a consistent prefix even while concurrent queries
+// extend the chains; the returned dumps share no memory with the basis.
 func (b *Basis) DumpChains() (main, prime *ChainDump) {
 	if b.mode == RetainNone {
 		return nil, nil
@@ -68,23 +73,34 @@ func dumpChain(cs *chainState) *ChainDump {
 	if cs.compact {
 		d.Us32Flat = make([]float32, len(cs.us32)*n)
 		for k, u := range cs.us32 {
-			copy(d.Us32Flat[k*n:], u)
+			unpackRow(cs, k, d.Us32Flat[k*n:(k+1)*n], u)
 		}
 		d.U = append([]float64(nil), cs.u...)
 	} else {
 		d.UsFlat = make([]float64, len(cs.us)*n)
 		for k, u := range cs.us {
-			copy(d.UsFlat[k*n:], u)
+			unpackRow(cs, k, d.UsFlat[k*n:(k+1)*n], u)
 		}
 	}
 	return d
+}
+
+// unpackRow writes retained vector k, x, into the zeroed row dst in row
+// layout.
+func unpackRow[T sparse.Real](cs *chainState, k int, dst, x []T) {
+	if cs.packed(k) {
+		sparse.UnpackFrontier(cs.fr, k-1, dst, x)
+		return
+	}
+	copy(dst, x)
 }
 
 // RestoreChains installs dumped chain state into a freshly created retaining
 // basis, replacing its step-0 chains. The basis must have been created with
 // NewBasisMode over the same (model, regenState, options, mode) the dump was
 // taken from and must not have been stepped yet. On success the basis takes
-// ownership of the dumps' slices.
+// ownership of the dumps' slab rows past the frontier phase and of the
+// compact working vector; everything else is copied.
 //
 // Restoration is validated, never trusted: dimensions, the retention mode,
 // the step-0 vectors (a pure function of the model, recomputed here and
@@ -123,12 +139,22 @@ func (b *Basis) RestoreChains(main, prime *ChainDump) error {
 	if b.prime != nil {
 		b.prime.install(prime)
 	}
-	total := int64(len(main.A)) * b.main.retainedStepBytes()
+	total := b.main.retainedTotal()
 	if b.prime != nil {
-		total += int64(len(prime.A)) * b.prime.retainedStepBytes()
+		total += b.prime.retainedTotal()
 	}
 	b.retainedBytes.Store(total)
 	return nil
+}
+
+// retainedTotal returns the retained bytes of the whole chain, the sum that
+// stepping it from u₀ accumulates.
+func (cs *chainState) retainedTotal() int64 {
+	var total int64
+	for k := range cs.a {
+		total += cs.retainedBytes(k)
+	}
+	return total
 }
 
 // validateDump checks d against the fresh step-0 chain cs (created by
@@ -191,30 +217,50 @@ func (b *Basis) validateDump(cs *chainState, d *ChainDump) error {
 	return nil
 }
 
-// install replaces the fresh chain's state with the validated dump, taking
-// ownership of its slices. The retained rows become views into the dump's
-// contiguous slab — the same layout the slab arenas produce, so the batched
-// reward-dot sweeps stream it identically.
+// install replaces the fresh chain's state with the validated dump. The
+// frontier-phase vectors are packed by copying into the chain's own slabs
+// and u₀ is the fresh chain's own (validated equal); later rows become views
+// into the dump's contiguous slab — the same layout the slab arenas produce,
+// so the batched reward-dot sweeps stream it identically. The statistics are
+// copied, so a chain still in its frontier phase keeps no view into the dump.
+// The working vectors are fresh allocations, never views into the dump: the
+// stepping writes them.
 func (cs *chainState) install(d *ChainDump) {
-	n := cs.n
 	k := d.steps()
-	cs.a = d.A
-	cs.q = d.Q
-	cs.v = d.V
+	cs.a = append([]float64(nil), d.A...)
+	cs.q = append([]float64(nil), d.Q...)
+	for i := range d.V {
+		cs.v[i] = append([]float64(nil), d.V[i]...)
+	}
 	cs.done = d.Done
 	if cs.compact {
-		cs.us32 = make([][]float32, k+1)
-		for j := 0; j <= k; j++ {
-			cs.us32[j] = d.Us32Flat[j*n : (j+1)*n : (j+1)*n]
-		}
+		cs.us32 = installRows(cs, &cs.arena32, d.Us32Flat, cs.us32[0])
 		cs.u = d.U
-		cs.buf = make([]float64, n)
 	} else {
-		cs.us = make([][]float64, k+1)
-		for j := 0; j <= k; j++ {
-			cs.us[j] = d.UsFlat[j*n : (j+1)*n : (j+1)*n]
-		}
+		cs.us = installRows(cs, &cs.arena, d.UsFlat, cs.us[0])
 		cs.u = cs.us[k]
-		cs.buf = cs.arena.next()
+		if cs.packed(k) || cs.frontierStep(k) {
+			cs.u = make([]float64, cs.n)
+			unpackRow(cs, k, cs.u, cs.us[k])
+		}
 	}
+	cs.buf = make([]float64, cs.n)
+}
+
+// installRows rebuilds the retained vectors of a dump's row-major slab: u0
+// as given, frontier-phase rows packed into arena, later rows as views.
+func installRows[T sparse.Real](cs *chainState, arena *slabArena[T], flat, u0 []T) [][]T {
+	n := cs.n
+	rows := make([][]T, len(flat)/n)
+	rows[0] = u0
+	for j := 1; j < len(rows); j++ {
+		row := flat[j*n : (j+1)*n : (j+1)*n]
+		if cs.packed(j) {
+			rows[j] = arena.next(cs.retainedLen(j))
+			sparse.PackFrontier(cs.fr, j-1, rows[j], row)
+			continue
+		}
+		rows[j] = row
+	}
+	return rows
 }

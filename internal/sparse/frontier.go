@@ -288,6 +288,39 @@ func (f *Frontier) activeChunks(step int) int {
 	return f.levelChunk[l]
 }
 
+// PackedLen returns the length of the packed layout of the vector the step
+// with the given index produced: the active prefix of the visitation order,
+// outside which that vector is exactly zero.
+func (f *Frontier) PackedLen(step int) int { return f.chunks[f.activeChunks(step)] }
+
+// PackFrontier stores x, the vector the frontier step with the given index
+// produced, in packed layout: dst[i] = x[gorder[i]] for i < PackedLen(step),
+// the order FrontierRewardDot reads. The rows it drops are zero in x. The
+// conversion to D rounds to nearest, so packing float64 into float32 is
+// compact retention's per-entry rounding.
+func PackFrontier[D, S Real](f *Frontier, step int, dst []D, x []S) {
+	rows := f.gorder[:f.PackedLen(step)]
+	if len(dst) != len(rows) || len(x) != f.m.n {
+		panic("sparse: PackFrontier dimension mismatch")
+	}
+	for i, row := range rows {
+		dst[i] = D(x[row])
+	}
+}
+
+// UnpackFrontier is PackFrontier's inverse: it writes packed[i] to
+// dst[gorder[i]] and leaves every other row of dst as it is (zero, for the
+// row-layout vector the step produced).
+func UnpackFrontier[T Real](f *Frontier, step int, dst, packed []T) {
+	rows := f.gorder[:f.PackedLen(step)]
+	if len(packed) != len(rows) || len(dst) != f.m.n {
+		panic("sparse: UnpackFrontier dimension mismatch")
+	}
+	for i, row := range rows {
+		dst[row] = packed[i]
+	}
+}
+
 // getPartials returns a zeroed per-chunk scratch slice from the frontier's
 // pool.
 func (f *Frontier) getPartials() *[]fusedPartial {

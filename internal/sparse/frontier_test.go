@@ -145,13 +145,30 @@ func TestFrontierStepMatchesStepFused(t *testing.T) {
 			if d := ulpDiff(fdot, pdot); d > 2 {
 				t.Errorf("trial %d step %d: dot %v vs plain %v (%d ulp)", trial, step, fdot, pdot, d)
 			}
-			// The replay must match the frontier step's dot bitwise.
-			if got := FrontierRewardDot(f, step, fdst, rewards, zp); math.Float64bits(got) != math.Float64bits(fdot) {
+			// The replay over the packed vector must match the frontier
+			// step's dot bitwise, and unpacking must restore the vector.
+			px := packed(f, step, fdst)
+			if got := FrontierRewardDot(f, step, px, rewards, zp); math.Float64bits(got) != math.Float64bits(fdot) {
 				t.Fatalf("trial %d step %d: FrontierRewardDot %v != step dot %v", trial, step, got, fdot)
+			}
+			back := make([]float64, n)
+			UnpackFrontier(f, step, back, px)
+			for j := range back {
+				if math.Float64bits(back[j]) != math.Float64bits(fdst[j]) {
+					t.Fatalf("trial %d step %d: unpacked[%d] = %v, want %v", trial, step, j, back[j], fdst[j])
+				}
 			}
 			copy(u, fdst)
 		}
 	}
+}
+
+// packed returns x, the vector the frontier step produced, in packed
+// layout.
+func packed(f *Frontier, step int, x []float64) []float64 {
+	p := make([]float64, f.PackedLen(step))
+	PackFrontier(f, step, p, x)
+	return p
 }
 
 // Per-lane multi-step results must be bitwise-identical to single-lane runs,
@@ -219,7 +236,7 @@ func TestStepFusedMultiMatchesSingle(t *testing.T) {
 			sumB, dotB := f.StepFused(step, dB, srcB, rw1, zp, zvB)
 			check("frontier", []float64{sumA, sumB}, []float64{dotA, dotB}, [][]float64{dA, dB}, [][]float64{zvA, zvB})
 			// Second rewards lane replays bitwise.
-			if got := FrontierRewardDot(f, step, dB, rw2, zp); math.Float64bits(got) != math.Float64bits(lanes[1].Dots[1]) {
+			if got := FrontierRewardDot(f, step, packed(f, step, dB), rw2, zp); math.Float64bits(got) != math.Float64bits(lanes[1].Dots[1]) {
 				t.Fatalf("trial %d step %d: lane rewards[1] dot %v != replay %v", trial, step, lanes[1].Dots[1], got)
 			}
 

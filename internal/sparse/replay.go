@@ -266,17 +266,17 @@ func rewardDotPair[T Real](m *Matrix, x0, x1 []T, rewards []float64, zero []int3
 
 // FrontierRewardDot replays the reward dot-product of a retained frontier
 // step for retained vectors of either precision: x must be the vector the
-// step with the given index produced (possibly rounded to float32 by
-// compact retention), and for float64 inputs the result is
-// bitwise-identical to the dot Frontier.StepFused(step, ...) returned —
-// same swept rows, same grouped sweep order, same skip rule, same four
-// chains per chunk, same folds.
+// step with the given index produced, in the packed layout of PackFrontier
+// (possibly rounded to float32 by compact retention), and for float64
+// inputs the result is bitwise-identical to the dot
+// Frontier.StepFused(step, ...) returned — same swept rows, same grouped
+// sweep order, same skip rule, same four chains per chunk, same folds.
 func FrontierRewardDot[T Real](f *Frontier, step int, x []T, rewards []float64, zpos []int32) float64 {
 	m := f.m
-	if len(x) != m.n || len(rewards) != m.n || len(zpos) != m.n {
+	ac := f.activeChunks(step)
+	if len(x) != f.chunks[ac] || len(rewards) != m.n || len(zpos) != m.n {
 		panic("sparse: FrontierRewardDot dimension mismatch")
 	}
-	ac := f.activeChunks(step)
 	var acc Accumulator
 	for c := 0; c < ac; c++ {
 		lo, hi := f.chunks[c], f.chunks[c+1]
@@ -287,7 +287,7 @@ func FrontierRewardDot[T Real](f *Frontier, step int, x []T, rewards []float64, 
 				continue
 			}
 			ch := (i - lo) & 3
-			y := float64(x[row])*rewards[row] - dc[ch]
+			y := float64(x[i])*rewards[row] - dc[ch]
 			t := ds[ch] + y
 			dc[ch] = (t - ds[ch]) - y
 			ds[ch] = t

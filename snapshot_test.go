@@ -204,6 +204,67 @@ func TestSnapshotQueryEquivalence(t *testing.T) {
 	}
 }
 
+// A snapshot-loaded model must report the RetainedBytes of the compile it
+// came from: both count each retained vector at its stored length — packed
+// to the active prefix while the frontier grows — not at the row-major
+// length of the blob's slab. The band is dumped mid-frontier, G=20 past its
+// saturation at step 31.
+func TestRetainedBytesSurvivesSnapshot(t *testing.T) {
+	avail, err := regenrand.BuildRAID(regenrand.DefaultRAIDParams(20), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band, err := ctmc.RandomBand(rand.New(rand.NewSource(42)), ctmc.BandOptions{
+		States: 10000, Bandwidth: 8, Degree: 3, Absorbing: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []struct {
+		name    string
+		model   *regenrand.CTMC
+		horizon float64
+	}{{"band1e4", band, 5}, {"G20", avail.Chain, 10}} {
+		for _, compact := range []bool{false, true} {
+			opts := regenrand.DefaultOptions()
+			if compact {
+				opts.Epsilon = 1e-6
+			}
+			cm, err := regenrand.Compile(sc.model, regenrand.CompileOptions{
+				Options: opts, CompactRetention: compact, PrebuildHorizon: sc.horizon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := cm.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := regenrand.LoadSnapshot(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s compact=%v", sc.name, compact)
+			if got, want := loaded.RetainedBytes(), cm.RetainedBytes(); got != want {
+				t.Errorf("%s: loaded model retains %d bytes, its compile %d", name, got, want)
+			}
+			if sc.model == band {
+				// Less than half of what row-major vectors of the same depth
+				// take; a non-retaining compile counts the model alone.
+				lean, err := regenrand.Compile(band, regenrand.CompileOptions{Options: opts, DisableRetention: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := int64(cm.BuildSteps()+1) * int64(band.N()) * 4
+				if !compact {
+					rows *= 2
+				}
+				if got := cm.RetainedBytes() - lean.RetainedBytes(); 2*got > rows {
+					t.Errorf("%s: chains retain %d bytes mid-frontier, row layout takes %d", name, got, rows)
+				}
+			}
+		}
+	}
+}
+
 // Concurrent queries against a snapshot-loaded model must agree bitwise
 // with serial queries against a fresh compile, at GOMAXPROCS 1 and 8 (the
 // CI test job runs this under -race).
