@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -133,8 +132,8 @@ func Compile(model *CTMC, copts CompileOptions) (*CompiledModel, error) {
 
 // CompileCtx is Compile under a context: cancellation is observed at the
 // chain-stepping checkpoints of the eager warmup (PrebuildHorizon), so a
-// caller abandoning a long compile gets back a wrapped context error carrying
-// the steps already performed (see core.CancelError). A cancelled compile
+// caller abandoning a long compile gets back the context's error. A
+// cancelled compile
 // leaves no artifact behind; retrying produces a model bitwise-identical to
 // an uncancelled compile, because the chain store is append-only and every
 // extension is deterministic.
@@ -223,17 +222,6 @@ func compileKey(model *CTMC, copts CompileOptions) string {
 		tail[42] = 0xff
 	}
 	return hex.EncodeToString(fp[:]) + hex.EncodeToString(tail[:])
-}
-
-// wrapCtxErr normalizes cancellation surfaced by a cache wait: a raw
-// context sentinel (the waiter's own ctx ended while blocked on a
-// single-flight construction) is wrapped into the engine's CancelError
-// shape; every other error passes through unchanged.
-func wrapCtxErr(err error) error {
-	if err == nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return err
-	}
-	return core.Cancelled(err, 0, 0)
 }
 
 // retainMode maps the option pair onto the regen retention mode.
@@ -327,13 +315,9 @@ func (cm *CompiledModel) measureByKeyCtx(ctx context.Context, key string, reward
 	if _, err := core.CheckRewards(rewards, cm.model.N()); err != nil {
 		return nil, err
 	}
-	m, err := cm.measures.GetOrCreateCtx(ctx, key, func(context.Context) (*CompiledMeasure, error) {
+	return cm.measures.GetOrCreateCtx(ctx, key, func(context.Context) (*CompiledMeasure, error) {
 		return cm.newMeasure(rewards)
 	})
-	if err != nil {
-		return nil, wrapCtxErr(err)
-	}
-	return m, nil
 }
 
 // rewardsKey is a content hash of the vector, hashed incrementally so a
@@ -432,7 +416,7 @@ func (m *CompiledMeasure) seriesForCtx(ctx context.Context, horizon float64) (*r
 		return m.binding.SeriesForCtx(cctx, horizon)
 	})
 	if err != nil {
-		return nil, wrapCtxErr(err)
+		return nil, err
 	}
 	// Single-flight: the caller whose closure ran counts the miss; waiters
 	// and later callers that found the entry count hits.
@@ -544,7 +528,7 @@ func (c *CompileCache) CompileCtx(ctx context.Context, model *CTMC, copts Compil
 	copts.Options = opts // normalized, so equivalent options share a key
 	copts.RRL = copts.RRL.Normalize()
 	key := compileKey(model, copts)
-	cm, err := c.lru.GetOrCreateCtx(ctx, key, func(cctx context.Context) (*CompiledModel, error) {
+	return c.lru.GetOrCreateCtx(ctx, key, func(cctx context.Context) (*CompiledModel, error) {
 		// Load-through: with a snapshot store attached, a cache miss first
 		// tries a stored snapshot (decode + verify); a corrupt or missing
 		// snapshot falls back to compiling, and the fresh artifact is
@@ -559,10 +543,6 @@ func (c *CompileCache) CompileCtx(ctx context.Context, model *CTMC, copts Compil
 		}
 		return built, err
 	})
-	if err != nil {
-		return nil, wrapCtxErr(err)
-	}
-	return cm, nil
 }
 
 // Get returns the cached compiled model with the given content key, if

@@ -180,9 +180,7 @@
 // a cancelled construction leaves a valid append-only prefix, and a retry
 // resumes (or deterministically re-runs) to answers bitwise-identical to an
 // uncancelled run. Cancelled calls return an error wrapping the context
-// cause plus a core.CancelError carrying how many stepping iterations and
-// inversion abscissae completed before the abort — the partial-work
-// accounting a serving layer can log or bill. Batch variants fill every
+// cause, so callers classify it with errors.Is. Batch variants fill every
 // row: rows finished before the deadline keep their results, the rest
 // carry the cancellation error.
 //
@@ -366,8 +364,13 @@
 //
 // The backends differ in how the error budget is spent, not in how much of
 // it there is: both charge discretization against the same ε carve-out and
-// stop by the same certified rules, so either answer is within
-// Options.Epsilon. The trade is the roundoff floor. Euler's shorter period
+// stop by the same rules, so either answer is within Options.Epsilon. That
+// split lives in one place, core.SplitEpsilon: truncation of the
+// regenerative series gets ε/2 (ε/4 per chain when α_r < 1, compact
+// retention's quantization taken out of it), and the inversion ε/4 for
+// discretization plus ε/4 for convergence, stopped at a 25th of that share.
+// MRR inverts C(t) = t·MRR(t), so its discretization bound on C(t) is
+// min(t, 1)·ε/4 and its convergence share t·ε/4 — at most ε/4 each on MRR. The trade is the roundoff floor. Euler's shorter period
 // needs a larger damping e^{a·t}, which amplifies machine rounding of the
 // summed transform values; the backend computes that floor a priori
 // (e^{a·t}·2⁻⁵⁰·f̃max against the stopping tolerance) and REJECTS the

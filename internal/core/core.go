@@ -18,8 +18,8 @@ const DefaultEpsilon = 1e-12
 // DefaultOptions or fill Epsilon explicitly.
 type Options struct {
 	// Epsilon is the total absolute error bound on each computed measure
-	// value (the paper's ε). Every solver splits its budget internally
-	// exactly as §2 of the paper prescribes.
+	// value (the paper's ε). SplitEpsilon splits it into the share each
+	// layer of a method spends, as §2 of the paper prescribes; see Budget.
 	Epsilon float64
 	// UniformizationFactor scales the randomization rate above the maximum
 	// output rate: Λ = factor·max_i q_i. The paper uses 1 (the default).
@@ -113,8 +113,9 @@ type Bounds struct {
 }
 
 // BoundingSolver extends Solver with certified two-sided bounds. The RR and
-// RRL solvers implement it; the width Upper−Lower is at most the model
-// truncation budget ε/2 by construction of K and L.
+// RRL solvers implement it; the width Upper−Lower is r_max times the mass
+// absorbed in the truncation state plus the Budget's Margin on each side, so
+// at least 2ε.
 type BoundingSolver interface {
 	Solver
 	// TRRBounds returns enclosures of the transient reward rate.

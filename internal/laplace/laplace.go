@@ -10,7 +10,7 @@
 // convergence of the series (Crump's device). Truncation is declared when
 // consecutive accelerated estimates differ by at most the caller's
 // tolerance — the paper uses ε/100, keeping a factor 25 of slack inside the
-// ε/4 truncation budget.
+// ε/4 convergence share (core.Budget.Tol).
 //
 // Transforms are evaluated through a block interface: the inverter requests
 // abscissae in speculative blocks of BlockLen and the transform fills one
@@ -49,7 +49,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"regenrand/internal/core"
 	"regenrand/internal/faultpoint"
 	"regenrand/internal/pool"
 	"regenrand/internal/sparse"
@@ -222,7 +221,7 @@ type invState struct {
 
 // Inverter is a numerical Laplace inversion backend. Implementations share
 // the block-of-8 BlockFunc contract, the fused joint value+bounds path and
-// the core.CancelError abscissae accounting; they differ in how the complex
+// the per-block cancellation checkpoint; they differ in how the complex
 // plane is sampled and how the series is accelerated, and therefore in how
 // many abscissae a time point costs and which (damping, tolerance)
 // configurations their certified error bounds admit.
@@ -242,8 +241,8 @@ type Inverter interface {
 	// moment its own rule accepts, so each output is bit-identical to a
 	// standalone inversion of that transform with the same Options; the
 	// sweep continues until every output has converged. ctx is tested once
-	// per abscissa block, so a cancel returns within one block's latency
-	// with a core.CancelError recording the abscissae evaluated. On error
+	// per abscissa block, so a cancel returns the context's error within one
+	// block's latency. On error
 	// (cancellation, or an output exhausting the term cap) the returned
 	// slice still carries the best estimates, flagged not Converged. A
 	// backend whose certified error bound cannot meet opt.Tol for this
@@ -353,7 +352,7 @@ func invertLoop(ctx context.Context, m int, f BlockFunc, t float64, opt Options,
 	var stopErr error
 	for k0 := 0; k0 <= opt.maxTerms && remaining > 0; k0 += BlockLen {
 		if cerr := ctx.Err(); cerr != nil {
-			stopErr = core.Cancelled(cerr, 0, evaluated)
+			stopErr = cerr
 			break
 		}
 		if ferr := faultpoint.Hit(FaultBlock); ferr != nil {
@@ -458,7 +457,8 @@ func invertLoop(ctx context.Context, m int, f BlockFunc, t float64, opt Options,
 //
 //	a = log(1 + fmax/bound) / (2T).
 //
-// For the paper's TRR measure, fmax = r_max and bound = ε/4.
+// For the paper's TRR measure, fmax = r_max and bound = ε/4
+// (core.Budget.Discretization).
 func DampingTRR(fmax, bound, T float64) float64 {
 	if fmax <= 0 {
 		// A zero function inverts exactly; any positive damping works.
@@ -468,25 +468,25 @@ func DampingTRR(fmax, bound, T float64) float64 {
 }
 
 // DampingCumulative returns the damping parameter for inverting the
-// cumulative transform C̃(s) = TRR̃(s)/s with C(τ) ≤ r_max·τ. The paper's
-// eq. (2) solves
+// cumulative transform C̃(s) = TRR̃(s)/s with C(τ) ≤ r_max·τ, so the Durbin
+// approximation error on C(t) is at most bound. The paper's eq. (2) solves
 //
-//	r_max·[(t+2T)x − t·x²]/(1−x)² = ε/4,   x = e^{−2aT}
+//	r_max·[(t+2T)x − t·x²]/(1−x)² = bound,   x = e^{−2aT}
 //
-// i.e. A·x² − B·x + C = 0 with A = ε/4 + t·r_max, B = ε/2 + (t+2T)·r_max,
-// C = ε/4. The paper evaluates the root (B−√(B²−4AC))/(2A) and patches its
-// catastrophic cancellation with a Taylor series for small
-// y = √((ε/4+t·r_max)/(ε/2+(t+2T)·r_max)); we use the algebraically
-// equivalent stable root x = 2C/(B+√(B²−4AC)), which subsumes the paper's
-// fallback in every regime (verified against the Taylor expression in the
-// tests).
-func DampingCumulative(rmax, eps, t, T float64) float64 {
+// (with bound = ε/4) i.e. A·x² − B·x + C = 0 with A = bound + t·r_max,
+// B = 2·bound + (t+2T)·r_max, C = bound. The paper evaluates the root
+// (B−√(B²−4AC))/(2A) and patches its catastrophic cancellation with a Taylor
+// series for small y = √((bound+t·r_max)/(2·bound+(t+2T)·r_max)); we use the
+// algebraically equivalent stable root x = 2C/(B+√(B²−4AC)), which subsumes
+// the paper's fallback in every regime (verified against the Taylor
+// expression in the tests).
+func DampingCumulative(rmax, bound, t, T float64) float64 {
 	if rmax <= 0 {
 		return 1 / (2 * T)
 	}
-	A := eps/4 + t*rmax
-	B := eps/2 + (t+2*T)*rmax
-	C := eps / 4
+	A := bound + t*rmax
+	B := 2*bound + (t+2*T)*rmax
+	C := bound
 	disc := B*B - 4*A*C
 	if disc < 0 {
 		disc = 0

@@ -64,7 +64,7 @@ func TestInvertRamp(t *testing.T) {
 	for _, tt := range []float64{0.5, 3, 50} {
 		T := DefaultTFactor * tt
 		res, err := invert(Scalar(f), tt, Options{
-			Damping:    DampingCumulative(1, eps, tt, T),
+			Damping:    DampingCumulative(1, eps/4, tt, T),
 			Tol:        tt * eps / 100,
 			Accelerate: true,
 		})
@@ -198,7 +198,7 @@ func TestDampingCumulativeSatisfiesBound(t *testing.T) {
 	for _, tt := range []float64{1, 100, 1e5} {
 		rmax, eps := 2.0, 1e-12
 		T := 8 * tt
-		a := DampingCumulative(rmax, eps, tt, T)
+		a := DampingCumulative(rmax, eps/4, tt, T)
 		x := math.Exp(-2 * a * T)
 		got := rmax * ((tt+2*T)*x - tt*x*x) / ((1 - x) * (1 - x))
 		if got > eps/4*(1+1e-6) {
@@ -216,7 +216,7 @@ func TestDampingCumulativeMatchesTaylorRegime(t *testing.T) {
 	B := eps/2 + (tt+2*T)*rmax
 	C := eps / 4
 	xTaylor := C / B
-	a := DampingCumulative(rmax, eps, tt, T)
+	a := DampingCumulative(rmax, eps/4, tt, T)
 	x := math.Exp(-2 * a * T)
 	if math.Abs(x-xTaylor) > 1e-6*xTaylor {
 		t.Errorf("stable root %v vs Taylor %v", x, xTaylor)

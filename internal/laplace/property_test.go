@@ -73,7 +73,7 @@ func TestDampingCumulativeProperty(t *testing.T) {
 		rmax := math.Exp(rng.Float64()*4 - 2) // 0.13 .. 7.4
 		eps := math.Exp(rng.Float64()*10 - 30)
 		T := 8 * tt
-		a := DampingCumulative(rmax, eps, tt, T)
+		a := DampingCumulative(rmax, eps/4, tt, T)
 		if !(a > 0) {
 			return false
 		}

@@ -86,6 +86,7 @@ func NewWindow(lambda, eps float64) (*Window, error) {
 	if lambda == 0 {
 		return &Window{Left: 0, Right: 0, Weights: []float64{1}, Lambda: 0}, nil
 	}
+	// The two tails split the caller's window share (core.Budget.Window).
 	half := eps / 2
 	left := lowerTruncation(lambda, half)
 	right := upperTruncation(lambda, half)

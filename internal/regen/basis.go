@@ -3,7 +3,6 @@ package regen
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -82,7 +81,8 @@ const (
 	// Binding replays dot the rounded vectors, so bound series are NOT
 	// bitwise-identical to a fused build; the quantization error is charged
 	// against an explicit slice of the truncation budget (see
-	// Binding.truncBudget), keeping every result certified within Epsilon.
+	// core.Budget.Quantization), keeping every result certified within
+	// Epsilon.
 	// Requires Epsilon comfortably above 2⁻²³·rmax.
 	RetainCompact
 )
@@ -101,7 +101,24 @@ func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode Reta
 	if err != nil {
 		return nil, err
 	}
-	b := &Basis{
+	b := newBasis(model, d, regenState, opts, mode, frontierFor(model, d, regenState))
+	if mode != RetainNone {
+		record := func(prime bool) *chainState {
+			u0, a0 := b.chainStart(prime)
+			return newChainState(model.N(), b.plan, b.fr, u0, a0, true, mode == RetainCompact, &b.retainedBytes)
+		}
+		b.main = record(false)
+		if b.alphaR < 1 {
+			b.prime = record(true)
+		}
+	}
+	return b, nil
+}
+
+// newBasis assembles a basis over validated inputs and their uniformized
+// chain, with no chains recorded.
+func newBasis(model *ctmc.CTMC, d *ctmc.DTMC, regenState int, opts core.Options, mode RetainMode, fr *sparse.Frontier) *Basis {
+	return &Basis{
 		model:      model,
 		dtmc:       d,
 		regenState: regenState,
@@ -110,22 +127,95 @@ func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode Reta
 		alphaR:     model.Initial()[regenState],
 		absorbing:  model.Absorbing(),
 		plan:       newZeroPlan(model.N(), regenState, model.Absorbing()),
-		fr:         frontierFor(model, d, regenState),
+		fr:         fr,
 	}
-	if mode != RetainNone {
-		n := model.N()
-		compact := mode == RetainCompact
-		u0 := make([]float64, n)
-		u0[regenState] = 1
-		b.main = newChainState(n, b.plan, b.fr, u0, 1, true, compact, &b.retainedBytes)
-		if b.alphaR < 1 {
-			up0 := make([]float64, n)
-			copy(up0, model.Initial())
-			up0[regenState] = 0
-			b.prime = newChainState(n, b.plan, b.fr, up0, 1-b.alphaR, true, compact, &b.retainedBytes)
-		}
+}
+
+// The chain lists of seriesChains: the chains are named by whether they are
+// primed.
+var (
+	mainChain  = []bool{false}
+	bothChains = []bool{false, true}
+)
+
+// seriesChains lists the chains of every series over this basis: the main
+// chain, then the primed one when α_r < 1.
+func (b *Basis) seriesChains() []bool {
+	if b.alphaR < 1 {
+		return bothChains
 	}
-	return b, nil
+	return mainChain
+}
+
+// chainStart returns a chain's start vector and its mass: u₀ = e_r for the
+// main chain, u'₀ = the initial distribution without r (mass 1 − α_r) for
+// the primed one.
+func (b *Basis) chainStart(prime bool) ([]float64, float64) {
+	u0 := make([]float64, b.model.N())
+	if !prime {
+		u0[b.regenState] = 1
+		return u0, 1
+	}
+	copy(u0, b.model.Initial())
+	u0[b.regenState] = 0
+	return u0, 1 - b.alphaR
+}
+
+// chain returns the recorded main or primed chain of a retaining basis.
+func (b *Basis) chain(prime bool) *chainState {
+	if prime {
+		return b.prime
+	}
+	return b.main
+}
+
+// budget splits ε for a series over this basis of rewards with maximum
+// rate rmax; compact selects the quantization carve-out of series replayed
+// from float32 chains. RR and RRL spend the same series shares.
+func (b *Basis) budget(rmax float64, compact bool) core.Budget {
+	return core.SplitEpsilon(b.opts.Epsilon, core.Answer{Method: core.MethodRR, Primed: b.alphaR < 1, Compact: compact, RMax: rmax})
+}
+
+// truncShare returns the share each chain's truncation bound is held to for
+// a binding with maximum reward rate rmax: the budget's Truncation, which
+// under compact retention leaves room for the quantization carve-out, so
+// truncation and rounding together stay inside the chain share. It errors
+// when Epsilon is too small for float32 retention to certify.
+func (b *Basis) truncShare(rmax float64) (float64, error) {
+	bud := b.budget(rmax, b.mode == RetainCompact)
+	if q := bud.Quantization; q >= bud.Chain {
+		return 0, fmt.Errorf("regen: compact retention cannot certify epsilon %.3g with rmax %.3g (float32 quantization alone contributes up to %.3g); recompile without CompactRetention or raise Epsilon above ~%.3g",
+			b.opts.Epsilon, rmax, q, 8*q)
+	}
+	return bud.Truncation, nil
+}
+
+// newSeries is the one constructor of series headers: a series of rewards
+// with maximum rate rmax and absorbing-state rewards rAbs, certified for
+// horizon with each chain's truncation bound held to trunc, before its
+// chains are cut.
+func (b *Basis) newSeries(rmax float64, rAbs []float64, horizon, trunc float64) *Series {
+	return &Series{
+		Lambda:           b.dtmc.Lambda,
+		Regen:            b.regenState,
+		AlphaR:           b.alphaR,
+		Absorbing:        b.absorbing,
+		RewardsAbsorbing: rAbs,
+		RMax:             rmax,
+		Eps:              b.opts.Epsilon,
+		Horizon:          horizon,
+		L:                -1,
+		trunc:            trunc,
+	}
+}
+
+// absorbingRewards returns the reward rates of the absorbing states.
+func (b *Basis) absorbingRewards(rewards []float64) []float64 {
+	rAbs := make([]float64, len(b.absorbing))
+	for i, f := range b.absorbing {
+		rAbs[i] = rewards[f]
+	}
+	return rAbs
 }
 
 // DTMC returns the shared uniformized chain.
@@ -181,11 +271,11 @@ func (cs *chainState) snapshot() chainSnapshot {
 	return snap
 }
 
-// extend grows the recorded chain until the truncation bound for (rmax, lam)
-// holds at the current depth (or the chain is exhausted), and returns an
-// immutable snapshot. pred must be the same monotone bound Build uses, so
-// the binary-searched truncation level below is bitwise-identical to a
-// fresh fused build.
+// extend grows the recorded main or primed chain until every rule certifies
+// the current depth (or the chain is exhausted), and returns an immutable
+// snapshot. The rules are the ones the caller then cuts by, so the
+// binary-searched truncation level is bitwise-identical to a fresh fused
+// build's.
 //
 // When bd is non-nil and the basis retains at full precision, the binding
 // rides the extension instead of replaying it afterwards: its b(k) are first
@@ -196,24 +286,25 @@ func (cs *chainState) snapshot() chainSnapshot {
 // sparse.RewardDotMulti does). Compact retention always replays, because its
 // replay dots the float32 roundings.
 //
-// ctx is tested once per step: a cancel returns within one step's latency,
-// carrying the steps this call completed in a core.CancelError. The steps
-// already taken stay in the chain store — extension is append-only — and so
-// do the coefficients bd gained, so a retry resumes where the cancelled call
-// stopped and reaches bitwise the same chain it would have built
-// uninterrupted. Lock order is b.mu, then bd.mu.
-func (b *Basis) extend(ctx context.Context, cs *chainState, pred func(a []float64, level int) bool, bd *Binding, prime bool) (chainSnapshot, error) {
+// ctx is tested once per step: a cancel returns the context's error within
+// one step's latency. The steps already taken stay in the chain store —
+// extension is append-only — and so do the coefficients bd gained, so a
+// retry resumes where the cancelled call stopped and reaches bitwise the
+// same chain it would have built uninterrupted. Lock order is b.mu, then
+// bd.mu.
+func (b *Basis) extend(ctx context.Context, prime bool, rules []truncRule, bd *Binding) (chainSnapshot, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	cs := b.chain(prime)
 	base := cs.stepIndex()
 	var rewards []float64
-	if bd != nil && b.mode == RetainFull && !cs.done && !pred(cs.a, base) {
+	if bd != nil && b.mode == RetainFull && cs.needsStep(rules...) {
 		b.fillMany([]*Binding{bd}, cs.snapshot(), []int{base}, prime)
 		rewards = bd.rewards
 	}
 	steps := 0
-	for !cs.done && !pred(cs.a, cs.stepIndex()) {
-		if err := checkpoint(ctx, steps); err != nil {
+	for cs.needsStep(rules...) {
+		if err := checkpoint(ctx); err != nil {
 			return chainSnapshot{}, err
 		}
 		dot := cs.step(b.dtmc, b.plan, rewards)
@@ -270,11 +361,7 @@ func (b *Basis) Bind(rewards []float64) (*Binding, error) {
 	}
 	r := make([]float64, len(rewards))
 	copy(r, rewards)
-	rAbs := make([]float64, len(b.absorbing))
-	for i, f := range b.absorbing {
-		rAbs[i] = r[f]
-	}
-	return &Binding{basis: b, rewards: r, rmax: rmax, rAbs: rAbs}, nil
+	return &Binding{basis: b, rewards: r, rmax: rmax, rAbs: b.absorbingRewards(r)}, nil
 }
 
 // Rewards returns the bound reward vector (shared; do not modify).
@@ -282,45 +369,6 @@ func (bd *Binding) Rewards() []float64 { return bd.rewards }
 
 // RMax returns the maximum bound reward rate.
 func (bd *Binding) RMax() float64 { return bd.rmax }
-
-// quantRel bounds the relative measure error introduced by float32
-// retention: rounding each retained entry to float32 perturbs it by at most
-// 2⁻²⁴ relatively, the retained entries are non-negative with Σⱼ u_k[j] =
-// a(k), so every replayed coefficient satisfies |b₃₂(k) − b(k)| ≤
-// 2⁻²⁴·rmax, and the transformed chain V_{K,L} — whose states carry the
-// b(k) as reward rates with total probability ≤ 1 — moves by at most that
-// much for every t. One extra factor of two covers the replay dot's own
-// rounding relative to the exact perturbed sum.
-const quantRel = 0x1p-23
-
-// truncBudget returns the truncation budget of one chain for a binding
-// with maximum reward rate rmax: the ε/4 (or ε/2 when α_r = 1) of the
-// paper, minus the explicit quantization carve-out of compact retention —
-// so truncation + rounding together stay inside the slice of ε the series
-// construction owns. It errors when Epsilon is too small for float32
-// retention to certify.
-func (b *Basis) truncBudget(rmax float64) (float64, error) {
-	budget := b.chainBudget()
-	if b.mode == RetainCompact {
-		q := rmax * quantRel
-		if q >= budget {
-			return 0, fmt.Errorf("regen: compact retention cannot certify epsilon %.3g with rmax %.3g (float32 quantization alone contributes up to %.3g); recompile without CompactRetention or raise Epsilon above ~%.3g",
-				b.opts.Epsilon, rmax, q, 8*q)
-		}
-		budget -= q
-	}
-	return budget, nil
-}
-
-// chainBudget is the per-chain truncation budget before any quantization
-// carve-out; it equals Series.budgetK for every series built over this
-// basis.
-func (b *Basis) chainBudget() float64 {
-	if b.alphaR < 1 {
-		return b.opts.Epsilon / 4
-	}
-	return b.opts.Epsilon / 2
-}
 
 // SeriesForCtx returns the regenerative-randomization series of the bound
 // rewards certified for the given horizon — bitwise-identical to
@@ -333,7 +381,7 @@ func (b *Basis) chainBudget() float64 {
 // uniformize + step.
 // Under compact retention the b coefficients come from float32-rounded
 // vectors (not bitwise-identical to Build); the truncation levels then
-// certify against the quantization-reduced budget of truncBudget, so the
+// certify against the quantization-reduced share of truncShare, so the
 // total error stays within Epsilon.
 //
 // ctx is tested once per chain-extension step. A cancelled call leaves the
@@ -345,57 +393,25 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 		return nil, err
 	}
 	b := bd.basis
+	share, err := b.truncShare(bd.rmax)
+	if err != nil {
+		return nil, err
+	}
+	s := b.newSeries(bd.rmax, bd.rAbs, horizon, share)
 	if b.mode == RetainNone {
-		return bd.seriesByExtension(ctx, horizon)
+		return bd.seriesByExtension(ctx, s)
 	}
-	lam := b.dtmc.Lambda * horizon
-	budget, err := b.truncBudget(bd.rmax)
-	if err != nil {
-		return nil, err
-	}
-	s := bd.newSeries(horizon)
-
-	mainPred := func(a []float64, level int) bool {
-		return truncErrS(bd.rmax, a, level, lam) <= budget
-	}
-	snap, err := b.extend(ctx, b.main, mainPred, bd, false)
-	if err != nil {
-		return nil, err
-	}
-	K := truncLevel(snap.a, mainPred)
-	b.fillMany([]*Binding{bd}, snap, []int{K}, false)
-	s.cut(false, K, snap.a, bd.coefficients(false, K), snap.q, snap.v)
-
-	if b.alphaR < 1 {
-		primePred := func(a []float64, level int) bool {
-			return truncErrP(bd.rmax, a, level, lam) <= budget
-		}
-		psnap, err := b.extend(ctx, b.prime, primePred, bd, true)
+	for _, prime := range b.seriesChains() {
+		rule := s.rule(prime, horizon)
+		snap, err := b.extend(ctx, prime, []truncRule{rule}, bd)
 		if err != nil {
 			return nil, err
 		}
-		L := truncLevel(psnap.a, primePred)
-		b.fillMany([]*Binding{bd}, psnap, []int{L}, true)
-		s.cut(true, L, psnap.a, bd.coefficients(true, L), psnap.q, psnap.v)
+		level := rule.level(snap.a)
+		b.fillMany([]*Binding{bd}, snap, []int{level}, prime)
+		s.cut(prime, level, snap.a, bd.coefficients(prime, level), snap.q, snap.v)
 	}
 	return s, nil
-}
-
-// newSeries is the header of a series of the bound rewards certified for
-// horizon, before its chains are cut.
-func (bd *Binding) newSeries(horizon float64) *Series {
-	b := bd.basis
-	return &Series{
-		Lambda:           b.dtmc.Lambda,
-		Regen:            b.regenState,
-		AlphaR:           b.alphaR,
-		Absorbing:        b.absorbing,
-		RewardsAbsorbing: bd.rAbs,
-		RMax:             bd.rmax,
-		Eps:              b.opts.Epsilon,
-		Horizon:          horizon,
-		L:                -1,
-	}
 }
 
 // ensureIncLocked lazily creates the binding-owned reward-carrying chains of
@@ -408,85 +424,56 @@ func (bd *Binding) ensureIncLocked() {
 		return
 	}
 	b := bd.basis
-	n := b.model.N()
 	lanes := [][]float64{bd.rewards}
-	u0 := make([]float64, n)
-	u0[b.regenState] = 1
-	bd.incMain = newMultiChain(n, b.plan, b.fr, u0, lanes, nil, 1, &bd.bytes)
-	bd.bytes.Add(int64(n) * 16) // the chain's two working vectors
+	inc := func(prime bool) *multiChain {
+		u0, a0 := b.chainStart(prime)
+		bd.bytes.Add(int64(len(u0)) * 16) // the chain's two working vectors
+		return newMultiChain(len(u0), b.plan, b.fr, u0, lanes, nil, a0, &bd.bytes)
+	}
+	bd.incMain = inc(false)
 	if b.alphaR < 1 {
-		up0 := make([]float64, n)
-		copy(up0, b.model.Initial())
-		up0[b.regenState] = 0
-		bd.incPrime = newMultiChain(n, b.plan, b.fr, up0, lanes, nil, 1-b.alphaR, &bd.bytes)
-		bd.bytes.Add(int64(n) * 16)
+		bd.incPrime = inc(true)
 	}
 }
 
-// extendIncLocked grows one incremental chain until pred certifies the
-// current depth (or the chain exhausts), testing ctx once per step. Like the
-// basis extension, the store is append-only and never rolled back: a
-// cancelled call leaves a valid prefix, and a retry resumes from it to
-// bitwise the same chain an uninterrupted call would have built. Caller
-// holds bd.mu.
-func (bd *Binding) extendIncLocked(ctx context.Context, mc *multiChain, pred func(a []float64, level int) bool) error {
+// seriesByExtension completes the header s on the non-retaining series path:
+// instead of re-running a fused build from step zero for every new horizon,
+// the binding's own chains extend monotonically — a t₂ request after t₁ < t₂
+// pays only the steps between the two truncation depths. The chains are the
+// same one-lane multiChain a single-rewards build steps (the kernel choice is
+// a pure function of the step index, and the single-lane kernel is
+// bitwise-identical per lane to the lockstep multi-lane one), and they are
+// cut by the same truncation rule, so the returned series is
+// bitwise-identical to a fresh Build(model, rewards, regen, opts, horizon);
+// published slices are capacity-capped so later extensions never mutate a
+// returned series.
+//
+// Each chain tests ctx once per step. Like the basis extension, the store is
+// append-only and never rolled back: a cancelled call leaves a valid prefix,
+// and a retry resumes from it to bitwise the same chain an uninterrupted
+// call would have built.
+func (bd *Binding) seriesByExtension(ctx context.Context, s *Series) (*Series, error) {
 	b := bd.basis
-	cs := mc.cs
-	base := cs.stepIndex()
-	steps := 0
-	for !cs.done && !pred(cs.a, cs.stepIndex()) {
-		if err := checkpoint(ctx, steps); err != nil {
-			return err
-		}
-		mc.step(b.dtmc, b.plan)
-		steps++
-	}
-	noteExtension(base, steps)
-	return nil
-}
-
-// seriesByExtension is the non-retaining series path: instead of re-running
-// a fused build from step zero for every new horizon, the binding's own
-// chains extend monotonically — a t₂ request after t₁ < t₂ pays only the
-// steps between the two truncation depths. The chains are the same one-lane
-// multiChain a single-rewards build steps (the kernel choice is a pure
-// function of the step index, and the single-lane kernel is
-// bitwise-identical per lane to the lockstep multi-lane one), so the
-// returned series is bitwise-identical to a fresh
-// Build(model, rewards, regen, opts, horizon). Truncation levels come from
-// the same monotone bound binary-searched over the (possibly deeper) chain,
-// hence are depth-independent; published slices are capacity-capped so later
-// extensions never mutate a returned series.
-func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Series, error) {
-	b := bd.basis
-	lam := b.dtmc.Lambda * horizon
-	budget, err := b.truncBudget(bd.rmax)
-	if err != nil {
-		return nil, err
-	}
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
 	bd.ensureIncLocked()
-
-	s := bd.newSeries(horizon)
-	mainPred := func(a []float64, level int) bool {
-		return truncErrS(bd.rmax, a, level, lam) <= budget
-	}
-	if err := bd.extendIncLocked(ctx, bd.incMain, mainPred); err != nil {
-		return nil, err
-	}
-	cs := bd.incMain.cs
-	s.cut(false, truncLevel(cs.a, mainPred), cs.a, bd.incMain.b(0), cs.q, cs.v)
-
-	if b.alphaR < 1 {
-		primePred := func(a []float64, level int) bool {
-			return truncErrP(bd.rmax, a, level, lam) <= budget
+	for _, prime := range b.seriesChains() {
+		mc := bd.incMain
+		if prime {
+			mc = bd.incPrime
 		}
-		if err := bd.extendIncLocked(ctx, bd.incPrime, primePred); err != nil {
-			return nil, err
+		cs := mc.cs
+		rule := s.rule(prime, s.Horizon)
+		base, steps := cs.stepIndex(), 0
+		for cs.needsStep(rule) {
+			if err := checkpoint(ctx); err != nil {
+				return nil, err
+			}
+			mc.step(b.dtmc, b.plan)
+			steps++
 		}
-		ps := bd.incPrime.cs
-		s.cut(true, truncLevel(ps.a, primePred), ps.a, bd.incPrime.b(0), ps.q, ps.v)
+		noteExtension(base, steps)
+		s.cut(prime, rule.level(cs.a), cs.a, mc.b(0), cs.q, cs.v)
 	}
 	return s, nil
 }
@@ -498,17 +485,17 @@ func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Ser
 // basis. It is the grouped construction path of the query planner for
 // non-retaining compiled models.
 func (b *Basis) BuildManyCtx(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
-	return BuildManyWithDTMCCtx(ctx, b.model, b.dtmc, rewardsList, b.regenState, b.opts, horizon)
+	return b.buildMany(ctx, rewardsList, horizon)
 }
 
 // Prewarm eagerly extends the reward-free retained chains deep enough to
 // certify the given horizon for any rewards vector with rmax ≤ 1 — against
-// the same budget such a query certifies against, compact retention's
+// the same share such a query certifies against, compact retention's
 // quantization carve-out included (the conditional series are scale-free
 // in the rewards, so this is the natural unit proxy; larger rmax at query
 // time only extends further from where the warmup stopped). When compact
 // retention cannot certify even unit rewards, it warms to the unit depth
-// without the carve-out. It makes the otherwise lazy compile phase do its
+// of the whole chain share. It makes the otherwise lazy compile phase do its
 // expensive stepping up front — which is what gives a compile request a
 // real cancellation surface. No-op on a non-retaining basis. Prewarm does
 // not change any result: chains extend to at least this depth on first
@@ -520,20 +507,13 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 	if err := checkHorizon(horizon); err != nil {
 		return err
 	}
-	lam := b.dtmc.Lambda * horizon
-	budget, err := b.truncBudget(1)
+	share, err := b.truncShare(1)
 	if err != nil {
-		budget = b.chainBudget()
+		share = b.budget(1, false).Chain
 	}
-	if _, err := b.extend(ctx, b.main, func(a []float64, level int) bool {
-		return truncErrS(1, a, level, lam) <= budget
-	}, nil, false); err != nil {
-		return err
-	}
-	if b.prime != nil {
-		if _, err := b.extend(ctx, b.prime, func(a []float64, level int) bool {
-			return truncErrP(1, a, level, lam) <= budget
-		}, nil, true); err != nil {
+	for _, prime := range b.seriesChains() {
+		rule := truncRule{prime: prime, rmax: 1, lam: b.dtmc.Lambda * horizon, share: share}
+		if _, err := b.extend(ctx, prime, []truncRule{rule}, nil); err != nil {
 			return err
 		}
 	}
@@ -541,17 +521,18 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 }
 
 // PrebindManyCtx warms the b-series caches of several bindings of this
-// basis for one shared horizon: the chains are extended once under the
-// deepest requirement, and every binding's missing coefficients are
+// basis for one shared horizon: each chain is extended once under every
+// binding's truncation rule, and every binding's missing coefficients are
 // replayed as reward lanes of the multi-rewards dot kernel — the retained
 // vectors are streamed once per eight-vector block for all bindings instead
 // of once per binding. The cached values are bitwise-identical to what each
-// binding's own SeriesForCtx would compute (the per-(vector, rewards) replay
-// arithmetic is association-fixed), so this is purely a throughput
-// optimization; a later SeriesForCtx call finds its coefficients cached. No-op
-// on a non-retaining basis. ctx is observed during the shared chain
-// extension; the replay fill itself is not interrupted (it is cheap
-// relative to stepping and keeps the store append-consistent).
+// binding's own SeriesForCtx would compute (the same rules, and
+// association-fixed per-(vector, rewards) replay arithmetic), so this is
+// purely a throughput optimization; a later SeriesForCtx call finds its
+// coefficients cached. No-op on a non-retaining basis. ctx is observed
+// during the shared chain extension; the replay fill itself is not
+// interrupted (it is cheap relative to stepping and keeps the store
+// append-consistent).
 func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon float64) error {
 	if b.mode == RetainNone || len(bds) == 0 {
 		return nil
@@ -559,62 +540,31 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 	if err := checkHorizon(horizon); err != nil {
 		return err
 	}
-	lam := b.dtmc.Lambda * horizon
-	budgets := make([]float64, len(bds))
+	shares := make([]float64, len(bds))
 	for i, bd := range bds {
 		if bd.basis != b {
 			return fmt.Errorf("regen: PrebindManyCtx binding %d belongs to a different basis", i)
 		}
-		bud, err := b.truncBudget(bd.rmax)
+		share, err := b.truncShare(bd.rmax)
 		if err != nil {
 			return err
 		}
-		budgets[i] = bud
+		shares[i] = share
 	}
-	// Main chain: extend once under the union of the bindings' predicates,
-	// then search each binding's truncation level over the shared a values —
-	// the same monotone bound SeriesForCtx searches, hence identical K's.
-	mainPred := func(a []float64, level int) bool {
-		for i, bd := range bds {
-			if truncErrS(bd.rmax, a, level, lam) > budgets[i] {
-				return false
-			}
-		}
-		return true
-	}
-	snap, err := b.extend(ctx, b.main, mainPred, nil, false)
-	if err != nil {
-		return err
-	}
+	rules := make([]truncRule, len(bds))
 	tops := make([]int, len(bds))
-	depth := len(snap.a) - 1
-	for i, bd := range bds {
-		tops[i] = sort.Search(depth, func(cand int) bool {
-			return truncErrS(bd.rmax, snap.a, cand, lam) <= budgets[i]
-		})
-	}
-	b.fillMany(bds, snap, tops, false)
-
-	if b.alphaR < 1 {
-		primePred := func(a []float64, level int) bool {
-			for i, bd := range bds {
-				if truncErrP(bd.rmax, a, level, lam) > budgets[i] {
-					return false
-				}
-			}
-			return true
+	for _, prime := range b.seriesChains() {
+		for i, bd := range bds {
+			rules[i] = truncRule{prime: prime, rmax: bd.rmax, lam: b.dtmc.Lambda * horizon, share: shares[i]}
 		}
-		psnap, err := b.extend(ctx, b.prime, primePred, nil, true)
+		snap, err := b.extend(ctx, prime, rules, nil)
 		if err != nil {
 			return err
 		}
-		pdepth := len(psnap.a) - 1
-		for i, bd := range bds {
-			tops[i] = sort.Search(pdepth, func(cand int) bool {
-				return truncErrP(bd.rmax, psnap.a, cand, lam) <= budgets[i]
-			})
+		for i, r := range rules {
+			tops[i] = r.level(snap.a)
 		}
-		b.fillMany(bds, psnap, tops, true)
+		b.fillMany(bds, snap, tops, prime)
 	}
 	return nil
 }

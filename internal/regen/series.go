@@ -40,19 +40,14 @@ import (
 const FaultStep = "regen.step"
 
 // checkpoint is the per-step cancellation test of the construction loops:
-// the caller's ctx first, then the fault-injection site. steps is how many
-// stepping iterations this invocation completed, reported through
-// core.CancelError so callers see how far an abandoned construction got.
-// The work itself is never lost — chains are append-only, so a later retry
-// resumes (basis) or re-runs deterministically (fused build).
-func checkpoint(ctx context.Context, steps int) error {
+// the caller's ctx first, then the fault-injection site. The work itself is
+// never lost — chains are append-only, so a later retry resumes (basis) or
+// re-runs deterministically (fused build).
+func checkpoint(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
-		return core.Cancelled(err, steps, 0)
-	}
-	if err := faultpoint.Hit(FaultStep); err != nil {
 		return err
 	}
-	return nil
+	return faultpoint.Hit(FaultStep)
 }
 
 // underflowFloor stops the series construction once the surviving mass is
@@ -94,6 +89,9 @@ type Series struct {
 	Eps float64
 	// Horizon is the largest time the truncation is certified for.
 	Horizon float64
+	// trunc is the share each chain's truncation bound was held to
+	// (core.Budget.Truncation), which StepsFor searches against too.
+	trunc float64
 }
 
 // Steps returns the number of full-model DTMC steps the construction used,
@@ -108,30 +106,19 @@ func (s *Series) Steps() int {
 
 // StepsFor returns the construction steps that would have sufficed for the
 // (smaller) horizon t, i.e. the K(t) + L(t) of a per-t run as tabulated in
-// the paper. The truncation-error bounds are monotone non-increasing in the
-// candidate level, so the smallest certified level is found by binary search
-// (O(log K) Poisson-tail evaluations instead of the former O(K) scan — this
-// runs once per requested time point). t must be ≤ Horizon.
+// the paper: each chain's truncation rule at t, against the share the series
+// was cut with. t must be ≤ Horizon.
 func (s *Series) StepsFor(t float64) int {
-	lam := s.Lambda * t
-	budget := s.budgetK()
-	k := sort.Search(s.K, func(cand int) bool {
-		return truncErrS(s.RMax, s.A, cand, lam) <= budget
-	})
-	if s.L < 0 {
-		return k
+	steps := s.rule(false, t).level(s.A)
+	if s.L >= 0 {
+		steps += s.rule(true, t).level(s.AP)
 	}
-	l := sort.Search(s.L, func(cand int) bool {
-		return truncErrP(s.RMax, s.AP, cand, lam) <= budget
-	})
-	return k + l
+	return steps
 }
 
-func (s *Series) budgetK() float64 {
-	if s.AlphaR < 1 {
-		return s.Eps / 4
-	}
-	return s.Eps / 2
+// rule is the truncation rule of the series' main or primed chain at time t.
+func (s *Series) rule(prime bool, t float64) truncRule {
+	return truncRule{prime: prime, rmax: s.RMax, lam: s.Lambda * t, share: s.trunc}
 }
 
 // SuffixAbs returns the geometric tail-bound metadata of an interleaved
@@ -199,6 +186,31 @@ func truncErrP(rmax float64, ap []float64, L int, lam float64) float64 {
 		tail = ap[L]
 	}
 	return rmax * tail
+}
+
+// truncRule is the truncation rule of one chain for one rewards vector: the
+// chain may be cut at any level whose bound (truncErrS for the main chain,
+// truncErrP for the primed one) for Poisson mean lam is within share. The
+// bound is monotone non-increasing in the level, so the least such level is
+// found by binary search and is the same however deep the chain was stepped.
+// Every series path — fused builds, basis extensions, incremental chains,
+// grouped prebinds and StepsFor — cuts by this one rule.
+type truncRule struct {
+	prime            bool
+	rmax, lam, share float64
+}
+
+// holds reports whether the rule certifies cutting the chain a at level.
+func (r truncRule) holds(a []float64, level int) bool {
+	if r.prime {
+		return truncErrP(r.rmax, a, level, r.lam) <= r.share
+	}
+	return truncErrS(r.rmax, a, level, r.lam) <= r.share
+}
+
+// level returns the truncation level of a chain recorded to depth len(a)-1.
+func (r truncRule) level(a []float64) int {
+	return sort.Search(len(a)-1, func(l int) bool { return r.holds(a, l) })
 }
 
 // zeroPlan precomputes the sorted list of destinations a series step zeroes
@@ -379,6 +391,20 @@ func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, a0 
 // stepIndex returns the index of the step that will run next (stepping
 // u_stepIndex to u_stepIndex+1).
 func (cs *chainState) stepIndex() int { return len(cs.a) - 1 }
+
+// needsStep reports whether the chain must step further: it is not exhausted
+// and some rule does not yet certify its current depth.
+func (cs *chainState) needsStep(rules ...truncRule) bool {
+	if cs.done {
+		return false
+	}
+	for _, r := range rules {
+		if !r.holds(cs.a, cs.stepIndex()) {
+			return true
+		}
+	}
+	return false
+}
 
 // step advances the chain one randomized step, recording a, q, v, and
 // returns the step's reward dot u_{k+1}·rewards (0 when rewards is nil).
@@ -570,8 +596,9 @@ func checkHorizon(horizon float64) error {
 // Build constructs the regenerative-randomization series for the model with
 // the given reward structure, regenerative state, error budget opts.Epsilon
 // and time horizon (the largest t the caller will evaluate). The model
-// truncation consumes ε/2 (split ε/4 + ε/4 between the two chains when
-// α_r < 1), exactly as in §2 of the paper.
+// truncation consumes the chain shares of core.SplitEpsilon: ε/2, split
+// ε/4 + ε/4 between the two chains when α_r < 1, exactly as in §2 of the
+// paper.
 func Build(model *ctmc.CTMC, rewards []float64, regen int, opts core.Options, horizon float64) (*Series, error) {
 	if err := validateRegenInputs(model, regen, &opts); err != nil {
 		return nil, err
@@ -611,13 +638,13 @@ func frontierFor(model *ctmc.CTMC, d *ctmc.DTMC, regen int) *sparse.Frontier {
 // while both still need depth. Every returned series is bitwise-identical
 // to the corresponding single-rewards Build: per-lane kernel arithmetic is
 // unchanged (see sparse.StepFusedMulti), each lane's truncation level comes
-// from the same monotone bound searched over the same values, and lanes
+// from the same truncation rule searched over the same values, and lanes
 // that certify early only carry prefix slices of the shared arrays.
 //
-// ctx is tested once per stepping iteration, so a cancel returns within one
-// step's latency carrying a core.CancelError with the steps completed. A
-// successful build is bitwise-identical to an uncancelled one — the ctx
-// check performs no arithmetic.
+// ctx is tested once per stepping iteration, so a cancel returns the
+// context's error within one step's latency. A successful build is
+// bitwise-identical to an uncancelled one — the ctx check performs no
+// arithmetic.
 func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64) ([]*Series, error) {
 	if err := validateRegenInputs(model, regen, &opts); err != nil {
 		return nil, err
@@ -630,46 +657,27 @@ func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, r
 // frontier equivalence tests and benchmarks compare against). The
 // reward-independent inputs must already be validated.
 func buildMany(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64, fr *sparse.Frontier) ([]*Series, error) {
+	return newBasis(model, d, regen, opts, RetainNone, fr).buildMany(ctx, rewardsList, horizon)
+}
+
+// buildMany steps fresh reward-carrying chains for every rewards vector in
+// lockstep (see BuildManyWithDTMCCtx). The lanes step at full precision, so
+// their series take the chain share without a quantization carve-out.
+func (b *Basis) buildMany(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
 	if len(rewardsList) == 0 {
 		return nil, fmt.Errorf("regen: BuildMany needs at least one rewards vector")
 	}
-	rmaxs := make([]float64, len(rewardsList))
+	out := make([]*Series, len(rewardsList))
 	for ri, rewards := range rewardsList {
-		rmax, err := core.CheckRewards(rewards, model.N())
+		rmax, err := core.CheckRewards(rewards, b.model.N())
 		if err != nil {
 			return nil, err
 		}
-		rmaxs[ri] = rmax
+		out[ri] = b.newSeries(rmax, b.absorbingRewards(rewards), horizon, b.budget(rmax, false).Truncation)
 	}
 	if err := checkHorizon(horizon); err != nil {
 		return nil, err
 	}
-	init := model.Initial()
-	absorbing := model.Absorbing()
-	n := model.N()
-	lam := d.Lambda * horizon
-	alphaR := init[regen]
-	plan := newZeroPlan(n, regen, absorbing)
-
-	out := make([]*Series, len(rewardsList))
-	for ri, rewards := range rewardsList {
-		s := &Series{
-			Lambda:    d.Lambda,
-			Regen:     regen,
-			AlphaR:    alphaR,
-			Absorbing: absorbing,
-			RMax:      rmaxs[ri],
-			Eps:       opts.Epsilon,
-			Horizon:   horizon,
-			L:         -1,
-		}
-		s.RewardsAbsorbing = make([]float64, len(absorbing))
-		for i, f := range absorbing {
-			s.RewardsAbsorbing[i] = rewards[f]
-		}
-		out[ri] = s
-	}
-	budget := out[0].budgetK() // α_r (hence the split) is shared by all lanes
 
 	// With several reward lanes the dot side dominates the stepping pass;
 	// one shared row-interleaved rewards layout keeps its traffic at R
@@ -679,90 +687,44 @@ func buildMany(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList 
 	if len(rewardsList) > 1 {
 		rewardsIx = sparse.InterleaveRewards(rewardsList)
 	}
-	// Regenerative chain: u_0 = e_r.
-	u0 := make([]float64, n)
-	u0[regen] = 1
-	main := newMultiChain(n, plan, fr, u0, rewardsList, rewardsIx, 1, nil)
-	var prime *multiChain
-	if alphaR < 1 {
-		// Primed chain: u'_0 = initial distribution without r.
-		up0 := make([]float64, n)
-		copy(up0, init)
-		up0[regen] = 0
-		prime = newMultiChain(n, plan, fr, up0, rewardsList, rewardsIx, 1-alphaR, nil)
-	}
-	mainNeeds := func() bool {
-		if main.cs.done {
-			return false
+	// One chain per series chain (main, then primed when α_r < 1), each with
+	// one truncation rule per lane.
+	kinds := b.seriesChains()
+	chains := make([]*multiChain, len(kinds))
+	rules := make([][]truncRule, len(kinds))
+	for c, prime := range kinds {
+		u0, a0 := b.chainStart(prime)
+		chains[c] = newMultiChain(b.model.N(), b.plan, b.fr, u0, rewardsList, rewardsIx, a0, nil)
+		rules[c] = make([]truncRule, len(out))
+		for ri, s := range out {
+			rules[c][ri] = s.rule(prime, horizon)
 		}
-		K := main.cs.stepIndex()
-		for _, rmax := range rmaxs {
-			if truncErrS(rmax, main.cs.a, K, lam) > budget {
-				return true
-			}
-		}
-		return false
-	}
-	primeNeeds := func() bool {
-		if prime == nil || prime.cs.done {
-			return false
-		}
-		L := prime.cs.stepIndex()
-		for _, rmax := range rmaxs {
-			if truncErrP(rmax, prime.cs.a, L, lam) > budget {
-				return true
-			}
-		}
-		return false
 	}
 	// Lockstep phase: both chains advance through one matrix traversal per
 	// step while both still need depth (the common case is a short primed
 	// chain riding the main chain's early steps for free).
-	steps := 0
-	for mainNeeds() && primeNeeds() {
-		if err := checkpoint(ctx, steps); err != nil {
+	for len(chains) == 2 && chains[0].cs.needsStep(rules[0]...) && chains[1].cs.needsStep(rules[1]...) {
+		if err := checkpoint(ctx); err != nil {
 			return nil, err
 		}
-		stepMulti(d, plan, []*multiChain{main, prime})
-		steps++
+		stepMulti(b.dtmc, b.plan, chains)
 	}
-	for mainNeeds() {
-		if err := checkpoint(ctx, steps); err != nil {
-			return nil, err
+	for c, mc := range chains {
+		for mc.cs.needsStep(rules[c]...) {
+			if err := checkpoint(ctx); err != nil {
+				return nil, err
+			}
+			mc.step(b.dtmc, b.plan)
 		}
-		main.step(d, plan)
-		steps++
-	}
-	for primeNeeds() {
-		if err := checkpoint(ctx, steps); err != nil {
-			return nil, err
-		}
-		prime.step(d, plan)
-		steps++
 	}
 
 	for ri, s := range out {
-		rmax := rmaxs[ri]
-		K := truncLevel(main.cs.a, func(a []float64, level int) bool {
-			return truncErrS(rmax, a, level, lam) <= budget
-		})
-		s.cut(false, K, main.cs.a, main.b(ri), main.cs.q, main.cs.v)
-		if prime != nil {
-			L := truncLevel(prime.cs.a, func(a []float64, level int) bool {
-				return truncErrP(rmax, a, level, lam) <= budget
-			})
-			s.cut(true, L, prime.cs.a, prime.b(ri), prime.cs.q, prime.cs.v)
+		for c, prime := range kinds {
+			cs := chains[c].cs
+			s.cut(prime, rules[c][ri].level(cs.a), cs.a, chains[c].b(ri), cs.q, cs.v)
 		}
 	}
 	return out, nil
-}
-
-// truncLevel is the truncation level of a chain recorded to depth len(a)-1:
-// the least level whose truncation bound pred certifies. The bound is
-// monotone in the level, so the binary search lands on the same level
-// however deep the chain was stepped.
-func truncLevel(a []float64, pred func(a []float64, level int) bool) int {
-	return sort.Search(len(a)-1, func(level int) bool { return pred(a, level) })
 }
 
 // cut publishes one chain's statistics at truncation level k into s — the

@@ -19,7 +19,10 @@ import (
 type VEvaluator struct {
 	series *Series
 	vmodel *VModel
-	opts   core.Options
+	// vopts are the compile's options with RR's Solve share as ε, and margin
+	// widens the bounds; both from core.SplitEpsilon.
+	vopts  core.Options
+	margin float64
 
 	mu     sync.Mutex
 	vsolve *uniform.Solver
@@ -33,13 +36,14 @@ func NewVEvaluator(series *Series, opts core.Options) (*VEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
+	bud := core.SplitEpsilon(opts.Epsilon, core.Answer{Method: core.MethodRR, Primed: series.L >= 0, RMax: series.RMax})
 	vopts := opts
-	vopts.Epsilon = opts.Epsilon / 2
+	vopts.Epsilon = bud.Solve
 	vs, err := uniform.New(vm.Chain, vm.Rewards, vopts)
 	if err != nil {
 		return nil, fmt.Errorf("regen: solving V: %w", err)
 	}
-	return &VEvaluator{series: series, vmodel: vm, opts: opts, vsolve: vs}, nil
+	return &VEvaluator{series: series, vmodel: vm, vopts: vopts, margin: bud.Margin, vsolve: vs}, nil
 }
 
 // run evaluates the measure on V and maps each step count to the paper's
@@ -97,7 +101,7 @@ func (e *VEvaluator) MRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Bou
 
 func (e *VEvaluator) valuesCtx(ctx context.Context, ts []float64, mrr bool) ([]core.Result, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, core.Cancelled(err, 0, 0)
+		return nil, err
 	}
 	if err := core.CheckTimes(ts); err != nil {
 		return nil, err
@@ -110,14 +114,14 @@ func (e *VEvaluator) boundsCtx(ctx context.Context, ts []float64, mrr bool) ([]c
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, core.Cancelled(err, 0, 0)
+		return nil, err
 	}
 	values, err := e.run(ts, mrr)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, core.Cancelled(err, 0, 0)
+		return nil, err
 	}
 	return e.boundsFromValues(ts, values, mrr)
 }
@@ -129,9 +133,7 @@ func (e *VEvaluator) boundsFromValues(ts []float64, values []core.Result, mrr bo
 	if e.vabs == nil {
 		ind := make([]float64, e.vmodel.Chain.N())
 		ind[e.vmodel.TruncIndex] = 1
-		vopts := e.opts
-		vopts.Epsilon = e.opts.Epsilon / 2
-		vabs, err := uniform.New(e.vmodel.Chain, ind, vopts)
+		vabs, err := uniform.New(e.vmodel.Chain, ind, e.vopts)
 		if err != nil {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("regen: bounding solver: %w", err)
@@ -150,7 +152,6 @@ func (e *VEvaluator) boundsFromValues(ts []float64, values []core.Result, mrr bo
 		return nil, fmt.Errorf("regen: bounding solver: %w", err)
 	}
 	rmax := e.series.RMax
-	eps := e.opts.Epsilon
 	out := make([]core.Bounds, len(ts))
 	for i := range ts {
 		m := mass[i].Value
@@ -160,11 +161,11 @@ func (e *VEvaluator) boundsFromValues(ts []float64, values []core.Result, mrr bo
 		if m > 1 {
 			m = 1
 		}
-		lo := values[i].Value - eps
+		lo := values[i].Value - e.margin
 		if lo < 0 {
 			lo = 0
 		}
-		out[i] = core.Bounds{T: ts[i], Lower: lo, Upper: values[i].Value + rmax*m + eps}
+		out[i] = core.Bounds{T: ts[i], Lower: lo, Upper: values[i].Value + rmax*m + e.margin}
 	}
 	return out, nil
 }

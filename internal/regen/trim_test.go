@@ -49,7 +49,7 @@ func TestBinarySearchTrimMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		budget := s.budgetK()
+		budget := s.trunc
 		for _, frac := range []float64{1e-3, 0.03, 0.3, 1} {
 			tt := frac * horizon
 			lam := s.Lambda * tt

@@ -27,7 +27,6 @@ func invert(f laplace.BlockFunc, t float64, opt laplace.Options) (laplace.Result
 // truncation-mass transform is inverted on its own (scalar kernels, full
 // sweeps, damping from the mass bound 1) over already-computed values.
 func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr bool) ([]core.Bounds, error) {
-	eps := e.eps
 	out := make([]core.Bounds, len(ts))
 	errs := make([]error, len(ts))
 	// The truncation-mass inversions are as independent as the value
@@ -39,22 +38,24 @@ func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr boo
 			return
 		}
 		T := e.conf.TFactor * t
+		// The mass original is bounded by 1: its own budget is RRL's at r_max = 1.
+		bud := core.SplitEpsilon(e.eps, core.Answer{Method: core.MethodRRL, MRR: mrr, RMax: 1, T: t})
 		var f laplace.BlockFunc
 		var opt laplace.Options
 		if mrr {
 			f = laplace.Scalar(func(s complex128) complex128 { return e.tf.truncMass(s) / s })
 			opt = laplace.Options{
 				TFactor:    e.conf.TFactor,
-				Damping:    laplace.DampingCumulative(1, eps, t, T),
-				Tol:        t * eps / 100,
+				Damping:    laplace.DampingCumulative(1, bud.Discretization, t, T),
+				Tol:        bud.Tol,
 				Accelerate: !e.conf.DisableAcceleration,
 			}
 		} else {
 			f = laplace.Scalar(e.tf.truncMass)
 			opt = laplace.Options{
 				TFactor:    e.conf.TFactor,
-				Damping:    laplace.DampingTRR(1, eps/4, T),
-				Tol:        eps / 100,
+				Damping:    laplace.DampingTRR(1, bud.Discretization, T),
+				Tol:        bud.Tol,
 				Accelerate: !e.conf.DisableAcceleration,
 			}
 		}

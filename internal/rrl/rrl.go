@@ -128,8 +128,7 @@ func NewEvaluator(series *regen.Series, rho0 func() float64, eps float64, conf C
 // their certified enclosures at each time point. ctx is threaded into the
 // per-time-point fan-out (unstarted points are abandoned) and into every
 // inversion's block loop (an in-flight inversion stops within one block's
-// latency). A cancelled call returns a core.CancelError carrying the
-// abscissae the interrupted inversion had evaluated.
+// latency). A cancelled call returns the context's error.
 func (e *Evaluator) TRRCtx(ctx context.Context, ts []float64) ([]core.Result, error) {
 	if err := core.CheckTimes(ts); err != nil {
 		return nil, err
@@ -149,8 +148,8 @@ func (e *Evaluator) MRRCtx(ctx context.Context, ts []float64) ([]core.Result, er
 // is a lower bound (the truncation state earns reward 0 where the exact
 // process earns ≥ 0), and adding r_max·P[V(t) = a] — with the truncation
 // mass obtained by inverting p̃_a(s) = (Λ/s)a(K)z^K p̃₀ + a'(L)z^{L+1}/s —
-// gives an upper bound. Both sides carry the inversion error ε/2. See
-// TRRCtx for cancellation.
+// gives an upper bound. Both sides are widened by the budget's Margin, which
+// covers the inversion's shares. See TRRCtx for cancellation.
 func (e *Evaluator) TRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Bounds, error) {
 	if err := core.CheckTimes(ts); err != nil {
 		return nil, err
@@ -167,35 +166,35 @@ func (e *Evaluator) MRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Boun
 	return e.runBoundsCtx(ctx, ts, true)
 }
 
+// budget splits ε for one time point of the measure (core.SplitEpsilon).
+func (e *Evaluator) budget(t float64, mrr bool) core.Budget {
+	return core.SplitEpsilon(e.eps, core.Answer{Method: core.MethodRRL, MRR: mrr, Primed: e.series.L >= 0, RMax: e.series.RMax, T: t})
+}
+
 // invertOptions builds the inversion configuration of one time point: the
-// measure-specific damping of §2.2 over the backend's period T = κt
-// (κ = conf.TFactor for Durbin; Euler fixes κ = 1, and the damping must be
-// computed for the period the backend actually sums at or the certified
-// discretization bound would not hold). FMax hands the backend the
-// magnitude scale of the original so Euler can apply its certified
-// roundoff rejection; Durbin ignores it.
+// measure-specific damping of §2.2 for the budget's discretization bound,
+// over the backend's period T = κt (κ = conf.TFactor for Durbin; Euler fixes
+// κ = 1, and the damping must be computed for the period the backend
+// actually sums at or the certified discretization bound would not hold),
+// and the budget's stopping tolerance. FMax hands the backend the magnitude
+// scale of the original so Euler can apply its certified roundoff
+// rejection; Durbin ignores it.
 func (e *Evaluator) invertOptions(t float64, mrr bool) laplace.Options {
+	bud := e.budget(t, mrr)
 	tfac := e.conf.TFactor
 	if e.inv.Name() == laplace.EulerName {
 		tfac = 1
 	}
 	T := tfac * t
+	opt := laplace.Options{TFactor: tfac, Tol: bud.Tol, Accelerate: !e.conf.DisableAcceleration}
 	if mrr {
-		return laplace.Options{
-			TFactor:    tfac,
-			Damping:    laplace.DampingCumulative(e.series.RMax, e.eps, t, T),
-			Tol:        t * e.eps / 100,
-			Accelerate: !e.conf.DisableAcceleration,
-			FMax:       t * e.series.RMax,
-		}
+		opt.Damping = laplace.DampingCumulative(e.series.RMax, bud.Discretization, t, T)
+		opt.FMax = t * e.series.RMax
+	} else {
+		opt.Damping = laplace.DampingTRR(e.series.RMax, bud.Discretization, T)
+		opt.FMax = e.series.RMax
 	}
-	return laplace.Options{
-		TFactor:    tfac,
-		Damping:    laplace.DampingTRR(e.series.RMax, e.eps/4, T),
-		Tol:        e.eps / 100,
-		Accelerate: !e.conf.DisableAcceleration,
-		FMax:       e.series.RMax,
-	}
+	return opt
 }
 
 // Tail-tolerance scaling of the truncated sweeps. A per-abscissa transform
@@ -203,8 +202,9 @@ func (e *Evaluator) invertOptions(t float64, mrr bool) laplace.Options {
 // scale = e^{at}/T, so δ ≤ tailTolFrac·Tol/scale bounds the accumulated
 // truncation over N terms by N·2^-20·Tol: ≤ 2^-9·Tol for the few hundred
 // abscissae of a typical inversion, and ≤ 5% of Tol even if a run
-// exhausts laplace's 5·10^4-term cap — inside the factor-25 slack Tol
-// keeps against the ε/4 inversion budget in every case. Independently,
+// exhausts laplace's 5·10^4-term cap — a fraction of Tol, which keeps a
+// factor 25 of slack inside the convergence share (core.Budget.Tol), in
+// every case. Independently,
 // δ ≤ tailNoiseRel·S[0] (S[0] the total coefficient mass of the sweep,
 // regen.SuffixAbs) keeps the discarded tail a factor n/2^3 below the full
 // sweep's own accumulated rounding noise of ≈ n·2^-53·S[0] over n degrees
@@ -276,7 +276,7 @@ func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool) ([]core.
 		}
 	}
 	if forErr != nil {
-		return nil, core.Cancelled(forErr, 0, 0)
+		return nil, forErr
 	}
 	return results, nil
 }
@@ -336,7 +336,7 @@ func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool) ([
 		}
 	}
 	if forErr != nil {
-		return nil, core.Cancelled(forErr, 0, 0)
+		return nil, forErr
 	}
 	return out, nil
 }
@@ -344,7 +344,9 @@ func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool) ([
 // enclose assembles the certified enclosure of one time point from the
 // plain value (a lower bound: the truncation state earns reward 0 where the
 // exact process earns ≥ 0) and the inverted truncation mass (the upper
-// correction r_max·mass); see TRRBoundsCtx.
+// correction r_max·mass), each side widened by the budget's Margin: ε,
+// floored at the double-precision limit of the Durbin series. See
+// TRRBoundsCtx.
 func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
 	// Clamp the inverted mass to its probabilistic range.
 	if mass < 0 {
@@ -353,14 +355,7 @@ func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
 	if mass > 1 {
 		mass = 1
 	}
-	// The margin covers the ε/2 inversion budget plus the double-precision
-	// floor of the Durbin series (cf. laplace's noiseRel): the series
-	// cannot be summed more accurately than ~1e-12 relative to r_max in
-	// double precision.
-	margin := e.eps
-	if floor := 1e-12 * e.series.RMax; floor > margin {
-		margin = floor
-	}
+	margin := e.budget(t, false).Margin
 	lo := value
 	hi := lo + e.series.RMax*mass + margin
 	lo -= margin

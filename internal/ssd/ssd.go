@@ -4,10 +4,10 @@
 //
 // The randomized sequence π_k = π(0)P^k converges to the stationary vector
 // π*, and the map π ↦ πP is non-expansive in ℓ₁, so ‖π_k − π*‖₁ is
-// non-increasing. Once ‖π_{k*} − π*‖₁ ≤ ε/(2 r_max) the reward sequence can
-// be frozen at ρ* = π*·r̄ for all k ≥ k* with guaranteed total error ≤ ε:
-// the stepping cost saturates at k* however large Λt grows (the behaviour
-// tabulated in Table 1 of the paper).
+// non-increasing. Once ‖π_{k*} − π*‖₁ ≤ ε/(2 r_max) (core.Budget's
+// detection share) the reward sequence can be frozen at ρ* = π*·r̄ for all
+// k ≥ k* with guaranteed total error ≤ ε: the stepping cost saturates at k*
+// however large Λt grows (the behaviour tabulated in Table 1 of the paper).
 //
 // RSD is SR with that one change, so it runs on SR's stepping loop: this
 // package checks that the model is irreducible, solves for π* and hands it
@@ -51,12 +51,10 @@ func NewFromDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, opts core.Op
 	if err != nil {
 		return nil, err
 	}
-	// Residual two orders below the detection threshold keeps the computed
-	// π* from polluting the guarantee.
-	tol := opts.Epsilon / 100
-	if rmax > 0 {
-		tol = opts.Epsilon / (100 * rmax)
-	}
+	// A residual two orders below the detection threshold keeps the computed
+	// π* from polluting the guarantee (a stopping tolerance, not an error
+	// bound; see core.Budget).
+	tol := core.SplitEpsilon(opts.Epsilon, core.Answer{Method: core.MethodRSD, RMax: rmax}).SteadyTol
 	if tol < 1e-14 {
 		tol = 1e-14 // floating-point floor for an ℓ₁ residual
 	}

@@ -34,7 +34,8 @@ import (
 type Solver struct {
 	model   *ctmc.CTMC
 	rewards []float64
-	// eps is the Poisson truncation budget: ε, or ε/2 with detection.
+	// eps is the Poisson window share of the budget: ε, or ε/2 with
+	// detection.
 	eps  float64
 	rmax float64
 
@@ -81,14 +82,15 @@ func NewFromDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, opts core.Op
 	}
 	r := make([]float64, len(rewards))
 	copy(r, rewards)
-	s := &Solver{model: model, rewards: r, eps: opts.Epsilon, rmax: rmax, dtmc: d, detect: -1}
+	method := core.MethodSR
 	if steady != nil {
-		s.eps /= 2
+		method = core.MethodRSD
+	}
+	bud := core.SplitEpsilon(opts.Epsilon, core.Answer{Method: method, RMax: rmax})
+	s := &Solver{model: model, rewards: r, eps: bud.Window, rmax: rmax, dtmc: d, detect: -1}
+	if steady != nil {
 		s.steady, s.rhoStar = steady, sparse.Dot(steady, r)
-		s.delta = s.eps
-		if rmax > 0 {
-			s.delta = s.eps / rmax
-		}
+		s.delta = bud.DetectionL1
 	}
 	return s, nil
 }
@@ -217,11 +219,12 @@ func (s *Solver) TRR(ts []float64) ([]core.Result, error) {
 
 // mrrTruncation returns the right truncation point R and the upper
 // cumulative values Q(k) so that the discarded part of the MRR series is at
-// most eps. It extends the TRR window until the mean-excess bound
-// (r_max/λ)·E[(N−R−1)⁺] ≤ eps holds.
+// most the window share eps. It extends the TRR window until the
+// mean-excess bound (r_max/λ)·E[(N−R−1)⁺] ≤ eps holds.
 func (s *Solver) mrrTruncation(t float64) (w *poisson.Window, R int, tails []float64, err error) {
 	lam := s.dtmc.Lambda * t
-	// Build a window with generous margin so R lies inside it.
+	// Build a window with generous margin so R lies inside it: a search
+	// window, 10⁻⁴ of the window share, not a share of ε of its own.
 	epsW := s.eps * 1e-4
 	if s.rmax > 0 {
 		epsW = s.eps / s.rmax * 1e-4

@@ -108,10 +108,7 @@ func (cm *CompiledModel) check(ctx context.Context, q Query, bounds bool) (Query
 			return q, fmt.Errorf("regenrand: %w", err)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return q, core.Cancelled(err, 0, 0)
-	}
-	return q, nil
+	return q, ctx.Err()
 }
 
 // Query evaluates one request against the compiled artifacts. It is safe
@@ -126,8 +123,7 @@ func (cm *CompiledModel) Query(q Query) ([]Result, error) {
 // QueryCtx is Query under a context. Cancellation is observed at the
 // engine's checkpoints — regenerative chain stepping, Laplace inversion
 // blocks, and the coarse method entry points — and surfaces as an error
-// wrapping ctx.Err() that carries the work already performed (see
-// core.CancelError). Cancellation never corrupts shared state: the chain
+// wrapping ctx.Err(). Cancellation never corrupts shared state: the chain
 // store is append-only, so a cancelled query leaves a valid prefix behind
 // and an identical retry resumes from it, returning results
 // bitwise-identical to an uncancelled run.
@@ -198,7 +194,7 @@ func (m *CompiledMeasure) lockedRun(ctx context.Context, q Query, mu *sync.Mutex
 	mu.Lock()
 	defer mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return nil, core.Cancelled(err, 0, 0)
+		return nil, err
 	}
 	s, err := get()
 	if err != nil {
@@ -255,7 +251,7 @@ func runBatch[T, Row any](ctx context.Context, cm *CompiledModel, qs []Query, qu
 		var zero T
 		for i, ok := range done {
 			if !ok {
-				out[p.unique[i]] = row(zero, core.Cancelled(forErr, 0, 0))
+				out[p.unique[i]] = row(zero, forErr)
 			}
 		}
 	}
