@@ -479,6 +479,9 @@ func TestValidation(t *testing.T) {
 		{"null in a transition", "", `{"model":{"states":2,"transitions":[[null,1,0.5]],"initial":[[0,1]]}}`, "model.transitions[0][0]: null inside an array"},
 		{"null in an initial entry", "", `{"model":{"states":2,"transitions":[[0,1,0.5]],"initial":[[null,1]]}}`, "model.initial[0][0]: null inside an array"},
 		{"null reward", "/v1/query", `{"model_id":"m","queries":[{"rewards":[null,1],"times":[1]}]}`, "queries[0].rewards[0]: null inside an array"},
+		{"absent times", "/v1/query", `{"model_id":"m","queries":[{"times":[1],"rewards":[]},{"rewards":[]}]}`, "queries[1].times: missing or empty"},
+		{"null times", "/v1/query", `{"model_id":"m","queries":[{"rewards":[],"times":null}]}`, "queries[0].times: missing or empty"},
+		{"empty times", "/v1/query", `{"model_id":"m","queries":[{"rewards":[],"times":[]}]}`, "queries[0].times: missing or empty"},
 		{"duplicate key", "", `{"model":{"states":2,"states":3,"transitions":[[0,1,1]],"initial":[[0,1]]}}`, `model: duplicate field "states"`},
 		{"trailing data", "", `{"model":{"states":2,"transitions":[[0,1,1]],"initial":[[0,1]]}} trailing`, "data after the top-level object"},
 	}

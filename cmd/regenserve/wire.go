@@ -13,14 +13,16 @@ import (
 // a body it accepts decodes to the same values as there, floats bit for bit
 // (FuzzWireRequest holds the two to that). Keys match the field names
 // case-insensitively in ASCII, and a member whose value is null counts as
-// absent, both as in encoding/json. It is stricter in four ways, each
+// absent, both as in encoding/json. It is stricter in five ways, each
 // answered with an error naming the field or the offset:
 //
 //   - a null inside an array (encoding/json reads it as 0);
 //   - a duplicate key (encoding/json keeps the last);
 //   - anything but whitespace after the top-level object;
 //   - a string with an escape sequence, a control byte or a non-ASCII
-//     byte; no legal value of any string field has one.
+//     byte; no legal value of any string field has one;
+//   - a query whose times are absent, null or empty, which no method can
+//     serve (core.CheckTimes).
 
 // decodeCompile decodes a POST /v1/compile body.
 func decodeCompile(b []byte) (compileRequest, error) {
@@ -46,7 +48,7 @@ func decodeQuery(b []byte) (queryRequest, error) {
 		case "model_id":
 			req.ModelID, err = r.text()
 		case "queries":
-			req.Queries, err = list(r, "{}", (*reader).query)
+			req.Queries, err = list(r, shortestQuery, (*reader).query)
 		case "degrade":
 			req.Degrade, err = r.text()
 		default:
@@ -110,6 +112,9 @@ func (r *reader) model() (*modelJSON, error) {
 	return m, err
 }
 
+// shortestQuery is the shortest query that decodes: it needs a time.
+const shortestQuery = `{"times":[0]}`
+
 func (r *reader) query() (queryJSON, error) {
 	var q queryJSON
 	err := r.object(func(key []byte) (err error) {
@@ -131,6 +136,9 @@ func (r *reader) query() (queryJSON, error) {
 		}
 		return err
 	})
+	if err == nil && len(q.Times) == 0 {
+		err = &decodeError{path: "times", msg: "missing or empty; a query needs at least one time"}
+	}
 	return q, err
 }
 
@@ -336,8 +344,8 @@ func (r *reader) elements(elem func(i int) error) error {
 
 // list decodes an array member whose elements elem decodes. An empty array
 // decodes to an empty slice and null to nil, as in encoding/json. shortest
-// is the shortest valid element ("0", "[0,0,0]", "{}"), which bounds the
-// capacity count reserves.
+// is the shortest valid element ("0", "[0,0,0]", shortestQuery), which
+// bounds the capacity count reserves.
 func list[T any](r *reader, shortest string, elem func(*reader) (T, error)) ([]T, error) {
 	if r.null() {
 		return nil, nil

@@ -194,7 +194,7 @@ func TestWireAccepts(t *testing.T) {
 		sameAsReference(t, []byte(body), refCompileOf(c), new(refCompileRequest))
 	}
 	queries := []string{
-		`{"model_id":"m","queries":[{"rewards":[],"times":[]}],"degrade":null}`,
+		`{"model_id":"m","queries":[{"rewards":[],"times":[0]}],"degrade":null}`,
 		`{"Model_ID":"m","queries":[{"Method":"RRL","MEASURE":"TRR","rewards":[1e22,1e23,-1e-22],"times":[1,2.5],"bounds":true,"inverter":"euler"}]}`,
 		`{"model":{"states":2,"transitions":[[0,1,1]]},"queries":null}`,
 	}
@@ -402,7 +402,7 @@ func fillBody(head, elem, tail string, size int) []byte {
 func TestDecodeMalformedBodyBytes(t *testing.T) {
 	const errSlack = 1 << 10
 	size := int(testConfig.Limits.MaxBody)
-	const rows, rewards, queries = `{"model":{"transitions":[`, `{"queries":[{"rewards":[`, `{"queries":[`
+	const rows, rewards, queries = `{"model":{"transitions":[`, `{"queries":[{"times":[0],"rewards":[`, `{"queries":[`
 	validBytes := func(body []byte) uint64 {
 		return allocBytes(func() {
 			if _, err := decodeQuery(body); err != nil {
@@ -412,6 +412,7 @@ func TestDecodeMalformedBodyBytes(t *testing.T) {
 	}
 	validRows := validBytes(fillBody(rows, "[0,1,1]", "]}}", size))
 	validRewards := validBytes(fillBody(rewards, "0", "]}]}", size))
+	validQueries := validBytes(fillBody(queries, shortestQuery, "]}", size))
 	for _, c := range []struct {
 		name  string
 		body  []byte
@@ -424,6 +425,7 @@ func TestDecodeMalformedBodyBytes(t *testing.T) {
 		{"array rewards", fillBody(rewards, "[]", "]}]}", size), validRewards},
 		{"number queries", fillBody(queries, "0", "]}", size), min(validRows, validRewards)},
 		{"queries of commas", fillBody(queries, "", "]}", size), min(validRows, validRewards)},
+		{"queries without times", fillBody(queries, "{}", "]}", size), validQueries},
 	} {
 		n := allocBytes(func() {
 			if _, err := decodeQuery(c.body); err == nil {

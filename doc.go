@@ -370,9 +370,11 @@
 // retention's quantization taken out of it), and the inversion ε/4 for
 // discretization plus ε/4 for convergence, stopped at a 25th of that share.
 // MRR inverts C(t) = t·MRR(t), so its discretization bound on C(t) is
-// min(t, 1)·ε/4 and its convergence share t·ε/4 — at most ε/4 each on MRR. The trade is the roundoff floor. Euler's shorter period
-// needs a larger damping e^{a·t}, which amplifies machine rounding of the
-// summed transform values; the backend computes that floor a priori
+// min(t, 1)·ε/4 and its convergence share t·ε/4 — at most ε/4 each on MRR.
+//
+// Euler's trade is the roundoff floor. Its shorter period needs a larger
+// damping e^{a·t}, which amplifies machine rounding of the summed transform
+// values; the backend computes that floor a priori
 // (e^{a·t}·2⁻⁵⁰·f̃max against the stopping tolerance) and REJECTS the
 // request with a budget error when the configuration cannot be certified —
 // with the TRR damping rule the floor admits ε down to ≈ 3e-9·rmax, so the

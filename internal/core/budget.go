@@ -39,33 +39,31 @@ type Answer struct {
 // The shares add up to ε:
 //
 //	SR   Window                                ε
-//	RSD  Window + Detection                    ε/2 + ε/2
+//	RSD  Window + detection                    ε/2 + ε/2
 //	RR   Chain per chain + Solve               ε/2 + ε/2
 //	RRL  Chain per chain + Discretization
-//	     + Convergence                         ε/2 + ε/4 + ε/4
+//	     + convergence                         ε/2 + ε/4 + ε/4
 //
 // Chain is ε/4 for each of the two chains when α_r < 1 and ε/2 for the one
 // chain otherwise. Under MRR, RRL's Discretization is min(t, 1)·ε/4 on C(t)
-// and its Convergence t·ε/4, so neither exceeds ε/4 on MRR. Quantization is
-// not added: compact retention's rounding is taken out of each chain's share,
-// and the chain's truncation bound is held to Truncation = Chain −
-// Quantization.
+// and its convergence share t·ε/4, so neither exceeds ε/4 on MRR. RSD's
+// detection share is spent through DetectionL1 and RRL's convergence share
+// through Tol, its 25th. Quantization is not added: compact retention's
+// rounding is taken out of each chain's share, and the chain's truncation
+// bound is held to Truncation = Chain − Quantization.
 //
 // Two entries are stopping tolerances, not proven bounds:
-//   - Tol = Convergence/25 stops RRL's inversion once consecutive
-//     accelerated estimates agree within it (or within the noise floor of
-//     the partial sums, when that is larger). Nothing bounds how far the
-//     accepted estimate lies from the limit, so Convergence holds only as far
-//     as the estimates have converged.
+//   - Tol stops RRL's inversion once consecutive accelerated estimates agree
+//     within it (or within the noise floor of the partial sums, when that is
+//     larger). Nothing bounds how far the accepted estimate lies from the
+//     limit, so the convergence share holds only as far as the estimates
+//     have converged.
 //   - SteadyTol stops RSD's stationary solve on an ℓ₁ residual, not on an ℓ₁
-//     error bound; the Detection share assumes the computed π* exact.
+//     error bound; the detection share assumes the computed π* exact.
 //
 // Margin is how far RR's and RRL's certified bounds are widened on each side
 // for the error of solving V_{K,L}.
 type Budget struct {
-	// Epsilon is the answer's whole ε.
-	Epsilon float64
-
 	// Chain is each regenerative chain's truncation share (RR, RRL).
 	Chain float64
 	// Quantization is compact retention's float32 rounding of the replayed
@@ -82,9 +80,9 @@ type Budget struct {
 	// Discretization is the bound RRL's damping is chosen for: the
 	// discretization error of the inverted original at T.
 	Discretization float64
-	// Convergence is RRL's share for stopping the inversion series, and Tol
-	// = Convergence/25 its stopping tolerance.
-	Convergence, Tol float64
+	// Tol is RRL's stopping tolerance for the inversion series: a 25th of
+	// its convergence share, ε/4 (t·ε/4 on C(t) under MRR).
+	Tol float64
 
 	// Margin widens RR's and RRL's certified bounds on each side. RRL's is
 	// at least 1e-12·r_max, the double-precision floor of its Durbin series.
@@ -92,10 +90,10 @@ type Budget struct {
 
 	// Window is the Poisson window share of SR and RSD.
 	Window float64
-	// Detection is RSD's share for freezing the reward sequence at ρ* from
-	// the detection step on, and DetectionL1 = Detection/r_max (Detection
-	// when r_max = 0) the ℓ₁ distance to π* that triggers detection.
-	Detection, DetectionL1 float64
+	// DetectionL1 is the ℓ₁ distance to π* that triggers RSD's detection:
+	// its share ε/2 for freezing the reward sequence at ρ* from the
+	// detection step on, over r_max (the share itself when r_max = 0).
+	DetectionL1 float64
 	// SteadyTol is the ℓ₁ residual RSD's π* solve stops at, ε/(100·r_max):
 	// two orders below the detection threshold.
 	SteadyTol float64
@@ -118,17 +116,16 @@ const rrlMarginFloor = 1e-12
 
 // SplitEpsilon splits eps for one answer; see Budget.
 func SplitEpsilon(eps float64, a Answer) Budget {
-	b := Budget{Epsilon: eps}
+	var b Budget
 	switch a.Method {
 	case MethodSR:
 		b.Window = eps
 	case MethodRSD:
 		b.Window = eps / 2
-		b.Detection = eps / 2
-		b.DetectionL1 = b.Detection
+		b.DetectionL1 = eps / 2
 		b.SteadyTol = eps / 100
 		if a.RMax > 0 {
-			b.DetectionL1 = b.Detection / a.RMax
+			b.DetectionL1 = eps / 2 / a.RMax
 			b.SteadyTol = eps / (100 * a.RMax)
 		}
 	case MethodRR, MethodRRL:
@@ -146,12 +143,12 @@ func SplitEpsilon(eps float64, a Answer) Budget {
 			break
 		}
 		b.Discretization = eps / 4
-		b.Convergence = eps / 4
+		convergence := eps / 4
 		if a.MRR {
 			b.Discretization = min(a.T, 1) * b.Discretization
-			b.Convergence = a.T * b.Convergence
+			convergence = a.T * convergence
 		}
-		b.Tol = b.Convergence / 25
+		b.Tol = convergence / 25
 		b.Margin = max(eps, rrlMarginFloor*a.RMax)
 	}
 	return b

@@ -131,20 +131,16 @@ func newBasis(model *ctmc.CTMC, d *ctmc.DTMC, regenState int, opts core.Options,
 	}
 }
 
-// The chain lists of seriesChains: the chains are named by whether they are
-// primed.
-var (
-	mainChain  = []bool{false}
-	bothChains = []bool{false, true}
-)
+// chainKinds names the chains of a series by whether they are primed.
+var chainKinds = []bool{false, true}
 
 // seriesChains lists the chains of every series over this basis: the main
 // chain, then the primed one when α_r < 1.
 func (b *Basis) seriesChains() []bool {
 	if b.alphaR < 1 {
-		return bothChains
+		return chainKinds
 	}
-	return mainChain
+	return chainKinds[:1]
 }
 
 // chainStart returns a chain's start vector and its mass: u₀ = e_r for the
@@ -169,25 +165,19 @@ func (b *Basis) chain(prime bool) *chainState {
 	return b.main
 }
 
-// budget splits ε for a series over this basis of rewards with maximum
-// rate rmax; compact selects the quantization carve-out of series replayed
-// from float32 chains. RR and RRL spend the same series shares.
-func (b *Basis) budget(rmax float64, compact bool) core.Budget {
-	return core.SplitEpsilon(b.opts.Epsilon, core.Answer{Method: core.MethodRR, Primed: b.alphaR < 1, Compact: compact, RMax: rmax})
-}
-
-// truncShare returns the share each chain's truncation bound is held to for
-// a binding with maximum reward rate rmax: the budget's Truncation, which
-// under compact retention leaves room for the quantization carve-out, so
-// truncation and rounding together stay inside the chain share. It errors
-// when Epsilon is too small for float32 retention to certify.
-func (b *Basis) truncShare(rmax float64) (float64, error) {
-	bud := b.budget(rmax, b.mode == RetainCompact)
+// seriesBudget splits ε for a series over this basis of rewards with
+// maximum rate rmax (RR and RRL spend the same series shares). Each chain's
+// truncation bound is held to its Truncation, which under compact retention
+// leaves room for the quantization carve-out, so truncation and rounding
+// together stay inside the chain share. It errors when Epsilon is too small
+// for float32 retention to certify.
+func (b *Basis) seriesBudget(rmax float64) (core.Budget, error) {
+	bud := core.SplitEpsilon(b.opts.Epsilon, core.Answer{Method: core.MethodRR, Primed: b.alphaR < 1, Compact: b.mode == RetainCompact, RMax: rmax})
 	if q := bud.Quantization; q >= bud.Chain {
-		return 0, fmt.Errorf("regen: compact retention cannot certify epsilon %.3g with rmax %.3g (float32 quantization alone contributes up to %.3g); recompile without CompactRetention or raise Epsilon above ~%.3g",
+		return bud, fmt.Errorf("regen: compact retention cannot certify epsilon %.3g with rmax %.3g (float32 quantization alone contributes up to %.3g); recompile without CompactRetention or raise Epsilon above ~%.3g",
 			b.opts.Epsilon, rmax, q, 8*q)
 	}
-	return bud.Truncation, nil
+	return bud, nil
 }
 
 // newSeries is the one constructor of series headers: a series of rewards
@@ -202,7 +192,6 @@ func (b *Basis) newSeries(rmax float64, rAbs []float64, horizon, trunc float64) 
 		Absorbing:        b.absorbing,
 		RewardsAbsorbing: rAbs,
 		RMax:             rmax,
-		Eps:              b.opts.Epsilon,
 		Horizon:          horizon,
 		L:                -1,
 		trunc:            trunc,
@@ -296,25 +285,18 @@ func (b *Basis) extend(ctx context.Context, prime bool, rules []truncRule, bd *B
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	cs := b.chain(prime)
-	base := cs.stepIndex()
 	var rewards []float64
 	if bd != nil && b.mode == RetainFull && cs.needsStep(rules...) {
-		b.fillMany([]*Binding{bd}, cs.snapshot(), []int{base}, prime)
+		b.fillMany([]*Binding{bd}, cs.snapshot(), []int{cs.stepIndex()}, prime)
 		rewards = bd.rewards
 	}
-	steps := 0
-	for cs.needsStep(rules...) {
-		if err := checkpoint(ctx); err != nil {
-			return chainSnapshot{}, err
-		}
+	err := cs.extendBy(ctx, rules, func() {
 		dot := cs.step(b.dtmc, b.plan, rewards)
 		if rewards != nil {
 			bd.appendStepped(prime, cs.stepIndex(), dot, cs.a[cs.stepIndex()])
 		}
-		steps++
-	}
-	noteExtension(base, steps)
-	return cs.snapshot(), nil
+	})
+	return cs.snapshot(), err
 }
 
 // Binding is the reward-dependent layer over a Basis: one rewards vector,
@@ -381,7 +363,7 @@ func (bd *Binding) RMax() float64 { return bd.rmax }
 // uniformize + step.
 // Under compact retention the b coefficients come from float32-rounded
 // vectors (not bitwise-identical to Build); the truncation levels then
-// certify against the quantization-reduced share of truncShare, so the
+// certify against the quantization-reduced share of seriesBudget, so the
 // total error stays within Epsilon.
 //
 // ctx is tested once per chain-extension step. A cancelled call leaves the
@@ -393,11 +375,11 @@ func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, 
 		return nil, err
 	}
 	b := bd.basis
-	share, err := b.truncShare(bd.rmax)
+	bud, err := b.seriesBudget(bd.rmax)
 	if err != nil {
 		return nil, err
 	}
-	s := b.newSeries(bd.rmax, bd.rAbs, horizon, share)
+	s := b.newSeries(bd.rmax, bd.rAbs, horizon, bud.Truncation)
 	if b.mode == RetainNone {
 		return bd.seriesByExtension(ctx, s)
 	}
@@ -464,28 +446,12 @@ func (bd *Binding) seriesByExtension(ctx context.Context, s *Series) (*Series, e
 		}
 		cs := mc.cs
 		rule := s.rule(prime, s.Horizon)
-		base, steps := cs.stepIndex(), 0
-		for cs.needsStep(rule) {
-			if err := checkpoint(ctx); err != nil {
-				return nil, err
-			}
-			mc.step(b.dtmc, b.plan)
-			steps++
+		if err := cs.extendBy(ctx, []truncRule{rule}, func() { mc.step(b.dtmc, b.plan) }); err != nil {
+			return nil, err
 		}
-		noteExtension(base, steps)
 		s.cut(prime, rule.level(cs.a), cs.a, mc.b(0), cs.q, cs.v)
 	}
 	return s, nil
-}
-
-// BuildManyCtx builds the series of several reward vectors over this
-// basis's shared DTMC in one multi-lane stepping pass (see
-// BuildManyWithDTMCCtx); each returned series is bitwise-identical to the
-// one the corresponding binding's SeriesForCtx would build on a non-retaining
-// basis. It is the grouped construction path of the query planner for
-// non-retaining compiled models.
-func (b *Basis) BuildManyCtx(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
-	return b.buildMany(ctx, rewardsList, horizon)
 }
 
 // Prewarm eagerly extends the reward-free retained chains deep enough to
@@ -507,9 +473,10 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 	if err := checkHorizon(horizon); err != nil {
 		return err
 	}
-	share, err := b.truncShare(1)
+	bud, err := b.seriesBudget(1)
+	share := bud.Truncation
 	if err != nil {
-		share = b.budget(1, false).Chain
+		share = bud.Chain
 	}
 	for _, prime := range b.seriesChains() {
 		rule := truncRule{prime: prime, rmax: 1, lam: b.dtmc.Lambda * horizon, share: share}
@@ -540,22 +507,21 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 	if err := checkHorizon(horizon); err != nil {
 		return err
 	}
-	shares := make([]float64, len(bds))
+	rules := make([]truncRule, len(bds))
 	for i, bd := range bds {
 		if bd.basis != b {
 			return fmt.Errorf("regen: PrebindManyCtx binding %d belongs to a different basis", i)
 		}
-		share, err := b.truncShare(bd.rmax)
+		bud, err := b.seriesBudget(bd.rmax)
 		if err != nil {
 			return err
 		}
-		shares[i] = share
+		rules[i] = truncRule{rmax: bd.rmax, lam: b.dtmc.Lambda * horizon, share: bud.Truncation}
 	}
-	rules := make([]truncRule, len(bds))
 	tops := make([]int, len(bds))
 	for _, prime := range b.seriesChains() {
-		for i, bd := range bds {
-			rules[i] = truncRule{prime: prime, rmax: bd.rmax, lam: b.dtmc.Lambda * horizon, share: shares[i]}
+		for i := range rules {
+			rules[i].prime = prime
 		}
 		snap, err := b.extend(ctx, prime, rules, nil)
 		if err != nil {

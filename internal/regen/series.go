@@ -84,9 +84,6 @@ type Series struct {
 	RewardsAbsorbing []float64
 	// RMax is the maximum reward rate of the model.
 	RMax float64
-	// Eps is the total error budget ε the series was built for; the model
-	// truncation consumed ε/2 of it at horizon Horizon.
-	Eps float64
 	// Horizon is the largest time the truncation is certified for.
 	Horizon float64
 	// trunc is the share each chain's truncation bound was held to
@@ -406,6 +403,22 @@ func (cs *chainState) needsStep(rules ...truncRule) bool {
 	return false
 }
 
+// extendBy runs step, which advances the chain one step, until no rule needs
+// depth, testing ctx before each step, and notes the steps as an extension
+// of the depth the chain held (noteExtension); a cancel returns the
+// context's error with the steps taken kept.
+func (cs *chainState) extendBy(ctx context.Context, rules []truncRule, step func()) error {
+	base := cs.stepIndex()
+	for cs.needsStep(rules...) {
+		if err := checkpoint(ctx); err != nil {
+			return err
+		}
+		step()
+	}
+	noteExtension(base, cs.stepIndex()-base)
+	return nil
+}
+
 // step advances the chain one randomized step, recording a, q, v, and
 // returns the step's reward dot u_{k+1}·rewards (0 when rewards is nil).
 // The vector–matrix product, the zeroing of the regenerative and absorbing
@@ -657,13 +670,16 @@ func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, r
 // frontier equivalence tests and benchmarks compare against). The
 // reward-independent inputs must already be validated.
 func buildMany(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64, fr *sparse.Frontier) ([]*Series, error) {
-	return newBasis(model, d, regen, opts, RetainNone, fr).buildMany(ctx, rewardsList, horizon)
+	return newBasis(model, d, regen, opts, RetainNone, fr).BuildManyCtx(ctx, rewardsList, horizon)
 }
 
-// buildMany steps fresh reward-carrying chains for every rewards vector in
-// lockstep (see BuildManyWithDTMCCtx). The lanes step at full precision, so
-// their series take the chain share without a quantization carve-out.
-func (b *Basis) buildMany(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
+// BuildManyCtx builds the series of several reward vectors over this
+// basis's shared DTMC in one multi-lane stepping pass of fresh
+// reward-carrying chains (see BuildManyWithDTMCCtx); each returned series is
+// bitwise-identical to the one the corresponding binding's SeriesForCtx
+// would build on a non-retaining basis. It is the grouped construction path
+// of the query planner for non-retaining compiled models.
+func (b *Basis) BuildManyCtx(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
 	if len(rewardsList) == 0 {
 		return nil, fmt.Errorf("regen: BuildMany needs at least one rewards vector")
 	}
@@ -673,7 +689,11 @@ func (b *Basis) buildMany(ctx context.Context, rewardsList [][]float64, horizon 
 		if err != nil {
 			return nil, err
 		}
-		out[ri] = b.newSeries(rmax, b.absorbingRewards(rewards), horizon, b.budget(rmax, false).Truncation)
+		bud, err := b.seriesBudget(rmax)
+		if err != nil {
+			return nil, err
+		}
+		out[ri] = b.newSeries(rmax, b.absorbingRewards(rewards), horizon, bud.Truncation)
 	}
 	if err := checkHorizon(horizon); err != nil {
 		return nil, err

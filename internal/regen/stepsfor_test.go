@@ -1,6 +1,7 @@
 package regen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,9 +9,11 @@ import (
 	"regenrand/internal/ctmc"
 )
 
-// StepsFor boundary behavior: t == Horizon must reproduce the built K (+L),
-// a t small enough that no steps are certified as needed must return 0, and
-// intermediate horizons must be monotone.
+// StepsFor boundary behavior: t == Horizon must reproduce the built K (+L)
+// under every retention mode (StepsFor searches against the share the
+// chains were cut with, compact retention's quantization carve-out
+// included), a t small enough that no steps are certified as needed must
+// return 0, and intermediate horizons must be monotone.
 func TestStepsForBoundaries(t *testing.T) {
 	model := basisTestModel(t) // α_r < 1: primed chain present
 	opts := core.DefaultOptions()
@@ -55,6 +58,30 @@ func TestStepsForBoundaries(t *testing.T) {
 	}
 	if got := ps.StepsFor(1e-15); got != 0 {
 		t.Errorf("unprimed StepsFor(1e-15) = %d, want 0", got)
+	}
+
+	// Series bound over a basis of each retention mode, at ε = 1e-6 so
+	// compact retention's carve-out is a visible part of the chain share.
+	for name, m := range map[string]*ctmc.CTMC{"primed": model, "unprimed": pm} {
+		for _, mode := range []RetainMode{RetainFull, RetainCompact, RetainNone} {
+			b, err := NewBasisMode(m, 0, core.Options{Epsilon: 1e-6, UniformizationFactor: 1}, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd, err := b.Bind([]float64{1, 0.5, 0.25, 0.125, 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range []float64{10, 100} {
+				s, err := bd.SeriesForCtx(context.Background(), h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := s.StepsFor(s.Horizon), s.Steps(); got != want {
+					t.Errorf("%s mode %v horizon %v: StepsFor(Horizon) = %d, Steps() = %d", name, mode, h, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -96,6 +96,8 @@ type Evaluator struct {
 	tf     *transform
 	rho0   func() float64
 	eps    float64
+	// margin widens both sides of every enclosure (core.Budget.Margin).
+	margin float64
 	conf   Config
 	inv    laplace.Inverter
 	// fullSweep makes every abscissa sweep the whole packed coefficient
@@ -121,7 +123,8 @@ func NewEvaluator(series *regen.Series, rho0 func() float64, eps float64, conf C
 	if err != nil {
 		return nil, fmt.Errorf("rrl: %w", err)
 	}
-	return &Evaluator{series: series, tf: newTransform(series), rho0: rho0, eps: eps, conf: conf, inv: inv}, nil
+	margin := core.SplitEpsilon(eps, core.Answer{Method: core.MethodRRL, RMax: series.RMax}).Margin
+	return &Evaluator{series: series, tf: newTransform(series), rho0: rho0, eps: eps, margin: margin, conf: conf, inv: inv}, nil
 }
 
 // TRRCtx, MRRCtx, TRRBoundsCtx and MRRBoundsCtx evaluate the measures and
@@ -166,11 +169,6 @@ func (e *Evaluator) MRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Boun
 	return e.runBoundsCtx(ctx, ts, true)
 }
 
-// budget splits ε for one time point of the measure (core.SplitEpsilon).
-func (e *Evaluator) budget(t float64, mrr bool) core.Budget {
-	return core.SplitEpsilon(e.eps, core.Answer{Method: core.MethodRRL, MRR: mrr, Primed: e.series.L >= 0, RMax: e.series.RMax, T: t})
-}
-
 // invertOptions builds the inversion configuration of one time point: the
 // measure-specific damping of §2.2 for the budget's discretization bound,
 // over the backend's period T = κt (κ = conf.TFactor for Durbin; Euler fixes
@@ -180,7 +178,7 @@ func (e *Evaluator) budget(t float64, mrr bool) core.Budget {
 // scale of the original so Euler can apply its certified roundoff
 // rejection; Durbin ignores it.
 func (e *Evaluator) invertOptions(t float64, mrr bool) laplace.Options {
-	bud := e.budget(t, mrr)
+	bud := core.SplitEpsilon(e.eps, core.Answer{Method: core.MethodRRL, MRR: mrr, Primed: e.series.L >= 0, RMax: e.series.RMax, T: t})
 	tfac := e.conf.TFactor
 	if e.inv.Name() == laplace.EulerName {
 		tfac = 1
@@ -344,9 +342,8 @@ func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool) ([
 // enclose assembles the certified enclosure of one time point from the
 // plain value (a lower bound: the truncation state earns reward 0 where the
 // exact process earns ≥ 0) and the inverted truncation mass (the upper
-// correction r_max·mass), each side widened by the budget's Margin: ε,
-// floored at the double-precision limit of the Durbin series. See
-// TRRBoundsCtx.
+// correction r_max·mass), each side widened by the margin: ε, floored at
+// the double-precision limit of the Durbin series. See TRRBoundsCtx.
 func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
 	// Clamp the inverted mass to its probabilistic range.
 	if mass < 0 {
@@ -355,10 +352,9 @@ func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
 	if mass > 1 {
 		mass = 1
 	}
-	margin := e.budget(t, false).Margin
 	lo := value
-	hi := lo + e.series.RMax*mass + margin
-	lo -= margin
+	hi := lo + e.series.RMax*mass + e.margin
+	lo -= e.margin
 	if lo < 0 {
 		lo = 0
 	}

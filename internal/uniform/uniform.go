@@ -82,15 +82,12 @@ func NewFromDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, opts core.Op
 	}
 	r := make([]float64, len(rewards))
 	copy(r, rewards)
-	method := core.MethodSR
+	s := &Solver{model: model, rewards: r, rmax: rmax, dtmc: d, detect: -1}
+	s.eps = core.SplitEpsilon(opts.Epsilon, core.Answer{Method: core.MethodSR}).Window
 	if steady != nil {
-		method = core.MethodRSD
-	}
-	bud := core.SplitEpsilon(opts.Epsilon, core.Answer{Method: method, RMax: rmax})
-	s := &Solver{model: model, rewards: r, eps: bud.Window, rmax: rmax, dtmc: d, detect: -1}
-	if steady != nil {
+		bud := core.SplitEpsilon(opts.Epsilon, core.Answer{Method: core.MethodRSD, RMax: rmax})
+		s.eps, s.delta = bud.Window, bud.DetectionL1
 		s.steady, s.rhoStar = steady, sparse.Dot(steady, r)
-		s.delta = bud.DetectionL1
 	}
 	return s, nil
 }
