@@ -153,3 +153,23 @@ func SplitEpsilon(eps float64, a Answer) Budget {
 	}
 	return b
 }
+
+// Enclose returns the certified bounds at t of a measure from its value
+// computed on V_{K,L}, a lower bound since the truncation state earns reward
+// 0 where the exact process earns ≥ 0, and the mass V holds in that state
+// (clamped to [0, 1]), whose rmax·mass is the upper correction. Both sides
+// are widened by margin, the Budget's Margin, and the lower side is floored
+// at 0.
+func Enclose(t, value, mass, rmax, margin float64) Bounds {
+	if mass < 0 {
+		mass = 0
+	}
+	if mass > 1 {
+		mass = 1
+	}
+	lo := value - margin
+	if lo < 0 {
+		lo = 0
+	}
+	return Bounds{T: t, Lower: lo, Upper: value + rmax*mass + margin}
+}

@@ -116,7 +116,8 @@ func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode Reta
 }
 
 // newBasis assembles a basis over validated inputs and their uniformized
-// chain, with no chains recorded.
+// chain, with no chains recorded. A nil fr steps every chain through the
+// full-sweep kernels, the reference path the frontier tests compare against.
 func newBasis(model *ctmc.CTMC, d *ctmc.DTMC, regenState int, opts core.Options, mode RetainMode, fr *sparse.Frontier) *Basis {
 	return &Basis{
 		model:      model,

@@ -38,7 +38,7 @@ func BenchmarkBuildBandFrontier(b *testing.B) {
 				}
 				var steps int
 				for i := 0; i < b.N; i++ {
-					series, err := buildMany(context.Background(), band, d, [][]float64{rewards}, 0, opts, t, fr)
+					series, err := newBasis(band, d, 0, opts, RetainNone, fr).BuildManyCtx(context.Background(), [][]float64{rewards}, t)
 					if err != nil {
 						b.Fatal(err)
 					}

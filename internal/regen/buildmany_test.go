@@ -48,7 +48,7 @@ func buildFullSweep(model *ctmc.CTMC, rewards []float64, regen int, opts core.Op
 	if err != nil {
 		return nil, err
 	}
-	series, err := buildMany(context.Background(), model, d, [][]float64{rewards}, regen, opts, horizon, nil)
+	series, err := newBasis(model, d, regen, opts, RetainNone, nil).BuildManyCtx(context.Background(), [][]float64{rewards}, horizon)
 	if err != nil {
 		return nil, err
 	}

@@ -147,8 +147,20 @@ func SuffixAbs(packed []float64, stride int) []float64 {
 	return s
 }
 
-// truncErrS bounds the measure error caused by truncating the regenerative
-// chain at K for mission time with Poisson mean lam:
+// truncRule is the truncation rule of one chain for one rewards vector: the
+// chain may be cut at any level whose measure-error bound for Poisson mean
+// lam is within share. The bound is monotone non-increasing in the level, so
+// the least such level is found by binary search and is the same however
+// deep the chain was stepped. Every series path — fused builds, basis
+// extensions, incremental chains, grouped prebinds and StepsFor — cuts by
+// this one rule.
+type truncRule struct {
+	prime            bool
+	rmax, lam, share float64
+}
+
+// holds reports whether the rule certifies cutting the chain a at level K.
+// Cutting the regenerative chain there errs by at most
 //
 //	r_max · min( Q(K+1), a(K)·E[(N−K)⁺] )
 //
@@ -158,51 +170,22 @@ func SuffixAbs(packed []float64, stride int) []float64 {
 // a(K)) plus one further Poisson event by time t (probability Q(m+K+1));
 // the union bound over m gives a(K)·Σ_m Q(m+K+1) = a(K)·E[(N−K)⁺], and any
 // such jump also requires at least K+1 events in total, giving the Q(K+1)
-// cap.
-func truncErrS(rmax float64, a []float64, K int, lam float64) float64 {
+// cap. The primed chain is traversed once, so jumping out of s'_K requires
+// surviving K steps (probability a'(K)) and at least K+1 Poisson events by
+// time t: its bound is r_max·min(Q(K+1), a'(K)).
+func (r truncRule) holds(a []float64, K int) bool {
 	if K >= len(a) {
-		return math.Inf(1)
+		return false
 	}
-	tail := poisson.TailUpper(lam, K+1)
-	run := a[K] * poisson.MeanExcessUpper(lam, K)
+	tail := poisson.TailUpper(r.lam, K+1)
+	run := a[K]
+	if !r.prime {
+		run *= poisson.MeanExcessUpper(r.lam, K)
+	}
 	if run < tail {
 		tail = run
 	}
-	return rmax * tail
-}
-
-// truncErrP bounds the error of truncating the primed chain at L: the chain
-// is traversed once, so jumping out of s'_L requires surviving L steps
-// (probability a'(L)) and at least L+1 Poisson events by time t.
-func truncErrP(rmax float64, ap []float64, L int, lam float64) float64 {
-	if L >= len(ap) {
-		return math.Inf(1)
-	}
-	tail := poisson.TailUpper(lam, L+1)
-	if ap[L] < tail {
-		tail = ap[L]
-	}
-	return rmax * tail
-}
-
-// truncRule is the truncation rule of one chain for one rewards vector: the
-// chain may be cut at any level whose bound (truncErrS for the main chain,
-// truncErrP for the primed one) for Poisson mean lam is within share. The
-// bound is monotone non-increasing in the level, so the least such level is
-// found by binary search and is the same however deep the chain was stepped.
-// Every series path — fused builds, basis extensions, incremental chains,
-// grouped prebinds and StepsFor — cuts by this one rule.
-type truncRule struct {
-	prime            bool
-	rmax, lam, share float64
-}
-
-// holds reports whether the rule certifies cutting the chain a at level.
-func (r truncRule) holds(a []float64, level int) bool {
-	if r.prime {
-		return truncErrP(r.rmax, a, level, r.lam) <= r.share
-	}
-	return truncErrS(r.rmax, a, level, r.lam) <= r.share
+	return r.rmax*tail <= r.share
 }
 
 // level returns the truncation level of a chain recorded to depth len(a)-1.
@@ -662,15 +645,7 @@ func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, r
 	if err := validateRegenInputs(model, regen, &opts); err != nil {
 		return nil, err
 	}
-	return buildMany(ctx, model, d, rewardsList, regen, opts, horizon, frontierFor(model, d, regen))
-}
-
-// buildMany is BuildManyWithDTMCCtx over an explicit frontier: nil steps
-// every chain through the full-sweep kernels (the reference path the
-// frontier equivalence tests and benchmarks compare against). The
-// reward-independent inputs must already be validated.
-func buildMany(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64, fr *sparse.Frontier) ([]*Series, error) {
-	return newBasis(model, d, regen, opts, RetainNone, fr).BuildManyCtx(ctx, rewardsList, horizon)
+	return newBasis(model, d, regen, opts, RetainNone, frontierFor(model, d, regen)).BuildManyCtx(ctx, rewardsList, horizon)
 }
 
 // BuildManyCtx builds the series of several reward vectors over this

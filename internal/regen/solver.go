@@ -110,13 +110,7 @@ func (e *VEvaluator) valuesCtx(ctx context.Context, ts []float64, mrr bool) ([]c
 }
 
 func (e *VEvaluator) boundsCtx(ctx context.Context, ts []float64, mrr bool) ([]core.Bounds, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	values, err := e.run(ts, mrr)
+	values, err := e.valuesCtx(ctx, ts, mrr)
 	if err != nil {
 		return nil, err
 	}
@@ -151,21 +145,9 @@ func (e *VEvaluator) boundsFromValues(ts []float64, values []core.Result, mrr bo
 	if err != nil {
 		return nil, fmt.Errorf("regen: bounding solver: %w", err)
 	}
-	rmax := e.series.RMax
 	out := make([]core.Bounds, len(ts))
 	for i := range ts {
-		m := mass[i].Value
-		if m < 0 {
-			m = 0
-		}
-		if m > 1 {
-			m = 1
-		}
-		lo := values[i].Value - e.margin
-		if lo < 0 {
-			lo = 0
-		}
-		out[i] = core.Bounds{T: ts[i], Lower: lo, Upper: values[i].Value + rmax*m + e.margin}
+		out[i] = core.Enclose(ts[i], values[i].Value, mass[i].Value, e.series.RMax, e.margin)
 	}
 	return out, nil
 }

@@ -11,19 +11,10 @@ import (
 )
 
 // linearTrim is the pre-binary-search scan: the smallest candidate level
-// whose truncation error meets the budget, found from 0 upward.
-func linearTrimS(rmax float64, a []float64, upper int, lam, budget float64) int {
+// the rule certifies, found from 0 upward.
+func linearTrim(r truncRule, a []float64, upper int) int {
 	for cand := 0; cand < upper; cand++ {
-		if truncErrS(rmax, a, cand, lam) <= budget {
-			return cand
-		}
-	}
-	return upper
-}
-
-func linearTrimP(rmax float64, ap []float64, upper int, lam, budget float64) int {
-	for cand := 0; cand < upper; cand++ {
-		if truncErrP(rmax, ap, cand, lam) <= budget {
+		if r.holds(a, cand) {
 			return cand
 		}
 	}
@@ -53,10 +44,10 @@ func TestBinarySearchTrimMatchesLinearScan(t *testing.T) {
 		for _, frac := range []float64{1e-3, 0.03, 0.3, 1} {
 			tt := frac * horizon
 			lam := s.Lambda * tt
-			wantK := linearTrimS(s.RMax, s.A, s.K, lam, budget)
+			wantK := linearTrim(truncRule{rmax: s.RMax, lam: lam, share: budget}, s.A, s.K)
 			wantL := 0
 			if s.L >= 0 {
-				wantL = linearTrimP(s.RMax, s.AP, s.L, lam, budget)
+				wantL = linearTrim(truncRule{prime: true, rmax: s.RMax, lam: lam, share: budget}, s.AP, s.L)
 			}
 			if got, want := s.StepsFor(tt), wantK+wantL; got != want {
 				t.Errorf("trial %d t=%g: StepsFor=%d linear scan %d", trial, tt, got, want)

@@ -130,7 +130,7 @@ func separateBounds(e *Evaluator, ts []float64, mrr bool) ([]core.Bounds, error)
 			value /= t
 			mass /= t
 		}
-		out[i] = e.enclose(t, value, mass)
+		out[i] = core.Enclose(t, value, mass, e.series.RMax, e.margin)
 	}
 	return out, nil
 }

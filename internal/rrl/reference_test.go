@@ -68,7 +68,7 @@ func (e *Evaluator) boundsFromValues(ts []float64, values []core.Result, mrr boo
 		if mrr {
 			mass /= t
 		}
-		out[i] = e.enclose(t, values[i].Value, mass)
+		out[i] = core.Enclose(t, values[i].Value, mass, e.series.RMax, e.margin)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -133,17 +133,11 @@ func NewEvaluator(series *regen.Series, rho0 func() float64, eps float64, conf C
 // inversion's block loop (an in-flight inversion stops within one block's
 // latency). A cancelled call returns the context's error.
 func (e *Evaluator) TRRCtx(ctx context.Context, ts []float64) ([]core.Result, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
 	return e.runCtx(ctx, ts, false)
 }
 
 // MRRCtx evaluates the mean reward rate (see TRRCtx).
 func (e *Evaluator) MRRCtx(ctx context.Context, ts []float64) ([]core.Result, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
 	return e.runCtx(ctx, ts, true)
 }
 
@@ -154,18 +148,12 @@ func (e *Evaluator) MRRCtx(ctx context.Context, ts []float64) ([]core.Result, er
 // gives an upper bound. Both sides are widened by the budget's Margin, which
 // covers the inversion's shares. See TRRCtx for cancellation.
 func (e *Evaluator) TRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Bounds, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
 	return e.runBoundsCtx(ctx, ts, false)
 }
 
 // MRRBoundsCtx returns certified enclosures of MRR(t); the upper correction
 // is (r_max/t)∫₀ᵗ P[V = a], obtained by inverting p̃_a(s)/s.
 func (e *Evaluator) MRRBoundsCtx(ctx context.Context, ts []float64) ([]core.Bounds, error) {
-	if err := core.CheckTimes(ts); err != nil {
-		return nil, err
-	}
 	return e.runBoundsCtx(ctx, ts, true)
 }
 
@@ -229,6 +217,9 @@ func (e *Evaluator) tailTol(opt laplace.Options, t float64) float64 {
 }
 
 func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool) ([]core.Result, error) {
+	if err := core.CheckTimes(ts); err != nil {
+		return nil, err
+	}
 	var rho0 float64
 	for _, t := range ts {
 		if t == 0 {
@@ -296,6 +287,9 @@ func (e *Evaluator) runCtx(ctx context.Context, ts []float64, mrr bool) ([]core.
 // the abscissae of its joint inversion: the two outputs share them, and the
 // later freeze saw every evaluation.
 func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool) ([]core.Bounds, error) {
+	if err := core.CheckTimes(ts); err != nil {
+		return nil, err
+	}
 	var rho0 float64
 	for _, t := range ts {
 		if t == 0 {
@@ -325,7 +319,7 @@ func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool) ([
 			value /= t
 			mass /= t
 		}
-		out[i] = e.enclose(t, value, mass)
+		out[i] = core.Enclose(t, value, mass, e.series.RMax, e.margin)
 		out[i].Abscissae = max(rs[0].Abscissae, rs[1].Abscissae)
 	})
 	for _, err := range errs {
@@ -337,28 +331,6 @@ func (e *Evaluator) runBoundsCtx(ctx context.Context, ts []float64, mrr bool) ([
 		return nil, forErr
 	}
 	return out, nil
-}
-
-// enclose assembles the certified enclosure of one time point from the
-// plain value (a lower bound: the truncation state earns reward 0 where the
-// exact process earns ≥ 0) and the inverted truncation mass (the upper
-// correction r_max·mass), each side widened by the margin: ε, floored at
-// the double-precision limit of the Durbin series. See TRRBoundsCtx.
-func (e *Evaluator) enclose(t, value, mass float64) core.Bounds {
-	// Clamp the inverted mass to its probabilistic range.
-	if mass < 0 {
-		mass = 0
-	}
-	if mass > 1 {
-		mass = 1
-	}
-	lo := value
-	hi := lo + e.series.RMax*mass + e.margin
-	lo -= e.margin
-	if lo < 0 {
-		lo = 0
-	}
-	return core.Bounds{T: t, Lower: lo, Upper: hi}
 }
 
 // transform evaluates the closed-form Laplace transforms of V_{K,L}.
